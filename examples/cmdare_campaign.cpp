@@ -16,10 +16,12 @@
 // trailing line), and re-running with `--resume` replays the journaled
 // replicas and executes only the rest — the final CSV is byte-identical
 // to an uninterrupted run at any --jobs.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "exp/pool.hpp"
 #include "scenario/catalog.hpp"
@@ -82,8 +84,6 @@ int main(int argc, char** argv) {
   int jobs = 0;
   int replicas = 0;
   std::uint64_t seed = 0;
-  bool seed_set = false;
-  std::string seed_text;
   std::string csv_path;
   std::string journal_path;
   bool resume = false;
@@ -98,8 +98,8 @@ int main(int argc, char** argv) {
                &jobs);
   args.add_int("replicas", "N", "replicas per cell (default: the spec's)",
                &replicas);
-  args.add_value("seed", "S", "campaign seed (default: the spec's)",
-                 &seed_text);
+  args.add_uint64("seed", "S", "campaign seed (default: the spec's)",
+                  &seed);
   args.add_value("csv", "PATH", "write the aggregate CSV to PATH", &csv_path);
   args.add_value("journal", "PATH",
                  "append every completed replica to PATH (crash journal)",
@@ -129,10 +129,11 @@ int main(int argc, char** argv) {
     print_catalog();
     return 1;
   }
-  if (!seed_text.empty()) {
-    seed = std::strtoull(seed_text.c_str(), nullptr, 10);
-    seed_set = true;
-  }
+  // Without --seed each campaign keeps its spec's seed.
+  const bool seed_set =
+      std::any_of(argv + 1, argv + argc, [](const char* arg) {
+        return std::string_view(arg) == "--seed";
+      });
   if (resume && journal_path.empty()) {
     std::fprintf(stderr, "error: --resume needs --journal PATH\n");
     return 1;

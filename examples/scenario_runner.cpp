@@ -229,7 +229,11 @@ int main(int argc, char** argv) {
     }
   }
   if (!seed_text.empty()) {
-    spec.seed = std::strtoull(seed_text.c_str(), nullptr, 10);
+    if (auto err = scenario::set_field(spec, "seed", seed_text)) {
+      std::fprintf(stderr, "error: --seed %s: %s\n", seed_text.c_str(),
+                   err->c_str());
+      return 1;
+    }
   }
 
   if (print_only) {

@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 (full build + full ctest), the fault/supervise/
-# obs/fleet/simcore/exp/ckpt label suites rebuilt under AddressSanitizer,
-# and the concurrency-heavy tests (obs, campaign engine, journal resume,
-# supervised sweeps, fleet campaigns) under ThreadSanitizer. The simcore label rides along in
-# the ASan/UBSan stages because the event engine hands out arena slots
-# with generation-checked handles — lifetime bugs there are exactly what
-# the sanitizers exist to catch. The perf-snapshot gate (--bench) is explicit
-# only: it re-runs bench_snapshot against the checked-in BENCH_*.json
-# and fails on a regression beyond the tolerance band.
+# obs/fleet/simcore/exp/ckpt/codec label suites rebuilt under
+# AddressSanitizer, and the concurrency-heavy tests (obs, campaign engine,
+# journal resume, supervised sweeps, fleet campaigns) under
+# ThreadSanitizer. The simcore label rides along in the ASan/UBSan stages
+# because the event engine hands out arena slots with generation-checked
+# handles — lifetime bugs there are exactly what the sanitizers exist to
+# catch. The codec label (the spec parser plus the random-bytes
+# SpecParseFuzz and LedgerFuzz) rides along too: parsers fed arbitrary
+# bytes are where out-of-bounds reads hide. The perf-snapshot gate
+# (--bench) is explicit only: it re-runs bench_snapshot against the
+# checked-in BENCH_*.json and fails on a regression beyond the tolerance
+# band.
 #
 #   scripts/ci.sh            # tier-1 + asan + tsan + ubsan
 #   scripts/ci.sh --tier1    # tier-1 only
@@ -54,11 +58,11 @@ if $run_tier1; then
 fi
 
 if $run_asan; then
-  echo "=== asan: faults + supervise + obs + fleet + simcore + exp + ckpt labels under AddressSanitizer ==="
+  echo "=== asan: faults + supervise + obs + fleet + simcore + exp + ckpt + codec labels under AddressSanitizer ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMDARE_SANITIZE=address
   cmake --build build-asan -j "$jobs"
-  ctest --test-dir build-asan -L 'faults|supervise|obs|fleet|simcore|exp|ckpt' \
+  ctest --test-dir build-asan -L 'faults|supervise|obs|fleet|simcore|exp|ckpt|codec' \
     --output-on-failure -j "$jobs"
 fi
 
@@ -72,11 +76,11 @@ if $run_tsan; then
 fi
 
 if $run_ubsan; then
-  echo "=== ubsan: faults + supervise + simcore + exp + ckpt labels under UndefinedBehaviorSanitizer ==="
+  echo "=== ubsan: faults + supervise + simcore + exp + ckpt + codec labels under UndefinedBehaviorSanitizer ==="
   cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMDARE_SANITIZE=undefined
   cmake --build build-ubsan -j "$jobs"
-  ctest --test-dir build-ubsan -L 'faults|supervise|simcore|exp|ckpt' \
+  ctest --test-dir build-ubsan -L 'faults|supervise|simcore|exp|ckpt|codec' \
     --output-on-failure -j "$jobs"
 fi
 

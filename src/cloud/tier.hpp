@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstddef>
-#include <optional>
 #include <string_view>
 
 namespace cmdare::cloud {
@@ -37,14 +36,6 @@ constexpr std::string_view storage_tier_name(StorageTier tier) {
       return "cold";
   }
   return "regional";
-}
-
-constexpr std::optional<StorageTier> storage_tier_from_name(
-    std::string_view name) {
-  if (name == "local") return StorageTier::kLocal;
-  if (name == "regional") return StorageTier::kRegional;
-  if (name == "cold") return StorageTier::kCold;
-  return std::nullopt;
 }
 
 /// One tier's transfer physics and price. A transfer of B bytes takes

@@ -14,18 +14,6 @@ const char* scheduler_policy_name(SchedulerPolicy policy) {
   return "cost-optimal";
 }
 
-bool scheduler_policy_from_name(std::string_view name, SchedulerPolicy* out) {
-  if (name == "round-robin") {
-    *out = SchedulerPolicy::kRoundRobin;
-    return true;
-  }
-  if (name == "cost-optimal") {
-    *out = SchedulerPolicy::kCostOptimal;
-    return true;
-  }
-  return false;
-}
-
 long effective_steps(const FleetConfig& config, long drawn_steps) {
   const long steps = static_cast<long>(
       std::llround(static_cast<double>(drawn_steps) * config.demand));

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace cmdare::fleet {
@@ -27,7 +26,6 @@ enum class SchedulerPolicy {
 
 /// Stable text tokens ("round-robin" / "cost-optimal") for the spec codec.
 const char* scheduler_policy_name(SchedulerPolicy policy);
-bool scheduler_policy_from_name(std::string_view name, SchedulerPolicy* out);
 
 struct FleetConfig {
   // --- tenant population ---

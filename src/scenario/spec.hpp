@@ -156,15 +156,18 @@ std::string serialize(const ScenarioSpec& spec);
 
 /// Sets one field by key (the same keys serialize() emits, plus the
 /// write-only conveniences `fault_rate` — FaultPlan::uniform shorthand —
-/// and `worker` / `stockout` / `storm`, which append one entry). Returns an error
-/// message, or std::nullopt on success. This is the extension point that
-/// makes any field sweepable by run_scenario_campaign.
+/// and `worker` / `stockout` / `storm` / `ckpt.tier_outage`, which append
+/// one entry). Returns an error message, or std::nullopt on success; a
+/// rejected value leaves the spec untouched. This is the extension point
+/// that makes any field sweepable by run_scenario_campaign.
 std::optional<std::string> set_field(ScenarioSpec& spec, std::string_view key,
                                      std::string_view value);
 
-/// Semantic checks beyond per-field ranges: unknown model name, missing
-/// workers for kinds that need them, a run that could never terminate.
-/// Empty = valid.
+/// Checks every field holds a value set_field() could have stored (so
+/// the text form reads back to the same spec), then the cross-field
+/// rules: unknown model name, missing workers for kinds that need them,
+/// a run that could never terminate, inconsistent fleet, heartbeat and
+/// elastic settings. Empty = valid.
 std::vector<std::string> validate(const ScenarioSpec& spec);
 
 }  // namespace cmdare::scenario

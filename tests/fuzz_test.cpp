@@ -197,33 +197,43 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, SyncFuzz, ::testing::Range(0, 8));
 
 class SpecParseFuzz : public ::testing::TestWithParam<int> {};
 
+/// Every key the spec codec reads: the keys serialize() emits for a spec
+/// whose lists are all non-empty, plus the write-only ones.
+std::vector<std::string> spec_keys() {
+  scenario::ScenarioSpec spec;
+  spec.workers.emplace_back();
+  spec.faults.stockouts.emplace_back();
+  spec.faults.storms.emplace_back();
+  spec.faults.tier_outages.emplace_back();
+  std::vector<std::string> keys = {"fault_rate", "worker", "stockout", "storm",
+                                   "ckpt.tier_outage"};
+  std::istringstream lines(scenario::serialize(spec));
+  std::string line;
+  while (std::getline(lines, line)) {
+    keys.push_back(line.substr(0, line.find(" = ")));
+  }
+  return keys;
+}
+
 TEST_P(SpecParseFuzz, RandomBytesNeverCrashTheParser) {
   // ScenarioSpec::parse is the boundary that eats user files: any byte
   // soup must come back as diagnostics, never a throw or a crash.
   util::Rng rng(6000 + GetParam());
+  // Bias toward structure so parsing goes deeper than line 1: newlines,
+  // separators, values, and real keys.
+  std::vector<std::string> fragments = {
+      "\n", "=", "#", " x ", " @ ", "..", ",", "-", "1e", "true", "run",
+      "K80", "us-central1", "*", "/", "nan", "inf", "round-robin",
+      "cost-optimal", "kill=", "hazard=", "slow=", "local", "regional",
+      "cold"};
+  for (std::string& key : spec_keys()) fragments.push_back(std::move(key));
   for (int doc = 0; doc < 50; ++doc) {
     std::string text;
     const std::size_t length = rng.uniform_index(2000);
     text.reserve(length);
     for (std::size_t i = 0; i < length; ++i) {
       if (rng.bernoulli(0.15)) {
-        // Bias toward structure so parsing goes deeper than line 1:
-        // newlines, separators, and real key fragments.
-        static const char* kFragments[] = {
-            "\n", "=", "#", " x ", " @ ", "..", ",", "workers", "kind",
-            "seed", "fault_rate", "stockout", "utc_start_hour", "-", "1e",
-            "true", "run", "K80", "us-central1", "*", "/", "supervise.",
-            "enabled", "heartbeat_timeout_s", "retune_", "nan", "inf",
-            "fleet.", "tenants", "demand", "scheduler", "round-robin",
-            "cost-optimal", "capacity_", "migrate_gain", "storm", "storms",
-            "kill=", "hazard=", "slow=", "elastic.", "min_workers",
-            "breaker_failures", "breaker_backoff_s", "grow_hysteresis_s",
-            "futility_threshold", "deadline_hours", "ckpt.", "delta_ratio",
-            "max_delta_chain", "max_generations", "bit_rot_rate",
-            "torn_write_rate", "tier_outage", "tier_outages", "store.tier.",
-            "local", "regional", "cold", "latency_s", "bandwidth_gbps",
-            "usd_per_gb"};
-        text += kFragments[rng.uniform_index(std::size(kFragments))];
+        text += fragments[rng.uniform_index(fragments.size())];
       } else {
         text += static_cast<char>(rng.uniform_index(256));
       }

@@ -2,7 +2,13 @@
 // malformed input surfacing as line-anchored diagnostics, never throws.
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
@@ -165,6 +171,129 @@ TEST(ScenarioSpec, RoundTripEveryField) {
   EXPECT_EQ(serialize(result.spec), text);
 }
 
+TEST(ScenarioSpec, SerializePinsEveryKeyInOrder) {
+  // The canonical text form, byte for byte: every key once, in the fixed
+  // emission order, with each value in its canonical spelling.
+  const std::string expected =
+      "name = full-coverage\n"
+      "kind = session\n"
+      "seed = 987654321\n"
+      "model = resnet-32\n"
+      "workers = 3 x P100 @ us-east1, 1 x V100 @ europe-west4 on-demand\n"
+      "ps_count = 2\n"
+      "max_steps = 12345\n"
+      "checkpoint_interval_steps = 500\n"
+      "checkpoint_max_retries = 5\n"
+      "ft_mode = vanilla-tf\n"
+      "ps_region = us-west1\n"
+      "auto_replace = false\n"
+      "replacement_context = delayed\n"
+      "max_launch_attempts = 7\n"
+      "backoff_base_seconds = 2.5\n"
+      "backoff_multiplier = 3\n"
+      "backoff_max_seconds = 120.25\n"
+      "backoff_jitter = 0.125\n"
+      "stockouts_before_fallback = 4\n"
+      "allow_region_fallback = false\n"
+      "allow_gpu_fallback = false\n"
+      "allow_on_demand_fallback = false\n"
+      "utc_start_hour = 3.7512345\n"
+      "horizon_hours = 12.5\n"
+      "launch_error_rate = 0.01\n"
+      "upload_error_rate = 0.02\n"
+      "upload_slowdown_rate = 0.03\n"
+      "upload_slowdown_factor = 4.5\n"
+      "restore_error_rate = 0.0425\n"
+      "abrupt_kill_rate = 0.05\n"
+      "stockouts = us-east1/K80 @ 100.5..400.75, asia-east1/* @ 0..50\n"
+      "storms = us-east1/P100 @ 250.5..900.25 kill=0.625 hazard=3.5 "
+      "slow=2.25, asia-east1/* @ 0..75 kill=1 hazard=1 slow=1\n"
+      "ckpt.enabled = true\n"
+      "ckpt.delta_ratio = 0.2\n"
+      "ckpt.max_delta_chain = 6\n"
+      "ckpt.max_generations = 4\n"
+      "ckpt.bit_rot_rate = 0.015\n"
+      "ckpt.torn_write_rate = 0.025\n"
+      "ckpt.tier_outages = cold @ 10.5..90.25, regional @ 0..30\n"
+      "store.tier.local.latency_s = 0.025\n"
+      "store.tier.local.bandwidth_gbps = 12.5\n"
+      "store.tier.local.usd_per_gb = 0.005\n"
+      "store.tier.regional.latency_s = 1.25\n"
+      "store.tier.regional.bandwidth_gbps = 0.45\n"
+      "store.tier.regional.usd_per_gb = 0.03\n"
+      "store.tier.cold.latency_s = 6.5\n"
+      "store.tier.cold.bandwidth_gbps = 0.05\n"
+      "store.tier.cold.usd_per_gb = 0.002\n"
+      "fleet.tenants = 48\n"
+      "fleet.demand = 1.75\n"
+      "fleet.workers_per_tenant = 3\n"
+      "fleet.min_steps = 600\n"
+      "fleet.max_steps = 4400\n"
+      "fleet.checkpoint_interval_steps = 250\n"
+      "fleet.checkpoint_seconds = 12.5\n"
+      "fleet.restore_seconds = 42.25\n"
+      "fleet.deadline_hours = 6.5\n"
+      "fleet.model_mix = true\n"
+      "fleet.capacity_per_pool = 20\n"
+      "fleet.price_sensitivity = 1.5\n"
+      "fleet.price_exponent = 3\n"
+      "fleet.capacity_dip = 0.375\n"
+      "fleet.bid_spread = 0.75\n"
+      "fleet.market_period_s = 90.5\n"
+      "fleet.scheduler = round-robin\n"
+      "fleet.migrate_period_s = 1200\n"
+      "fleet.migrate_gain = 0.3\n"
+      "fleet.hazard_revocations = true\n"
+      "telemetry = true\n"
+      "supervise.enabled = true\n"
+      "supervise.heartbeat_period_s = 7.5\n"
+      "supervise.heartbeat_timeout_s = 45.25\n"
+      "supervise.heartbeat_jitter = 0.25\n"
+      "supervise.phi_threshold = 8.5\n"
+      "supervise.sweep_period_s = 5.125\n"
+      "supervise.hazard_halflife_hours = 3.5\n"
+      "supervise.hazard_prior_weight_hours = 12.25\n"
+      "supervise.score_halflife_hours = 1.75\n"
+      "supervise.retune_period_s = 600.5\n"
+      "supervise.retune_hysteresis = 0.35\n"
+      "supervise.min_interval_steps = 75\n"
+      "supervise.score_replacement = true\n"
+      "supervise.hedged_replacement = true\n"
+      "supervise.elastic.enabled = true\n"
+      "supervise.elastic.min_workers = 2\n"
+      "supervise.elastic.breaker_failures = 4\n"
+      "supervise.elastic.breaker_backoff_s = 450.5\n"
+      "supervise.elastic.breaker_backoff_multiplier = 3\n"
+      "supervise.elastic.breaker_max_backoff_s = 5400.25\n"
+      "supervise.elastic.grow_hysteresis_s = 240.5\n"
+      "supervise.elastic.futility_threshold = 0.75\n"
+      "supervise.elastic.deadline_hours = 10.5\n";
+  EXPECT_EQ(serialize(full_spec()), expected);
+}
+
+TEST(ScenarioSpec, CheckedInScenarioFilesParseCleanAndAreFixedPoints) {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CMDARE_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".scn") paths.push_back(entry.path());
+  }
+  ASSERT_FALSE(paths.empty()) << CMDARE_SCENARIO_DIR;
+  for (const std::filesystem::path& path : paths) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const ParseResult result = parse(text.str());
+    for (const Diagnostic& d : result.diagnostics) {
+      ADD_FAILURE() << path << ":" << d.line << ": " << d.message;
+    }
+    const std::string canonical = serialize(result.spec);
+    const ParseResult again = parse(canonical);
+    EXPECT_TRUE(again.ok()) << path;
+    EXPECT_EQ(again.spec, result.spec) << path;
+    EXPECT_EQ(serialize(again.spec), canonical) << path;
+  }
+}
+
 TEST(ScenarioSpec, RoundTripSurvivesNoisyFormatting) {
   const ParseResult result = parse(
       "# a comment line\n"
@@ -235,6 +364,81 @@ TEST(ScenarioSpec, SetFieldRejectsOutOfRangeValues) {
       set_field(spec, "supervise.min_interval_steps", "0").has_value());
   // None of the rejected values touched the spec.
   EXPECT_EQ(spec, minimal_valid());
+}
+
+TEST(ScenarioSpec, RejectsValuesTheTextFormCannotCarry) {
+  // validate() accepts only values set_field() could have stored.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ScenarioSpec spec = minimal_valid();
+  spec.kind = HarnessKind::kSession;
+  spec.max_steps = 0;
+  spec.horizon_hours = nan;
+  EXPECT_FALSE(validate(spec).empty());
+  spec = minimal_valid();
+  spec.faults.launch_error_rate = nan;
+  EXPECT_FALSE(validate(spec).empty());
+  spec = minimal_valid();
+  spec.utc_start_hour = nan;
+  EXPECT_FALSE(validate(spec).empty());
+
+  // Window bounds and storm modifiers must be finite numbers.
+  spec = minimal_valid();
+  EXPECT_TRUE(
+      set_field(spec, "stockouts", "us-central1/K80 @ nan..inf").has_value());
+  EXPECT_TRUE(set_field(spec, "storms", "us-central1/K80 @ 10..20 kill=nan")
+                  .has_value());
+  EXPECT_TRUE(
+      set_field(spec, "ckpt.tier_outages", "regional @ inf..inf").has_value());
+  // "on-demand" is a separate word, not a region-name suffix.
+  EXPECT_TRUE(set_field(spec, "workers", "2 x K80 @ us-central1on-demand")
+                  .has_value());
+  // A '#' would start a comment when the text form is read back.
+  EXPECT_TRUE(set_field(spec, "name", "demo#1").has_value());
+  EXPECT_EQ(spec, minimal_valid());
+}
+
+TEST(ScenarioSpec, EnumNamesMatchIgnoringCase) {
+  ScenarioSpec spec = minimal_valid();
+  EXPECT_FALSE(set_field(spec, "kind", "Session").has_value());
+  EXPECT_FALSE(set_field(spec, "ft_mode", "VANILLA-TF").has_value());
+  EXPECT_FALSE(set_field(spec, "replacement_context", "Delayed").has_value());
+  EXPECT_FALSE(set_field(spec, "fleet.scheduler", "Round-Robin").has_value());
+  EXPECT_FALSE(set_field(spec, "ckpt.tier_outage", "Cold @ 0..1").has_value());
+  EXPECT_EQ(spec.kind, HarnessKind::kSession);
+  EXPECT_EQ(spec.ft_mode, train::FaultToleranceMode::kVanillaTf);
+  EXPECT_EQ(spec.replacement_context,
+            cloud::RequestContext::kDelayedAfterRevocation);
+  EXPECT_EQ(spec.fleet.scheduler, fleet::SchedulerPolicy::kRoundRobin);
+  ASSERT_EQ(spec.faults.tier_outages.size(), 1u);
+  EXPECT_EQ(spec.faults.tier_outages[0].tier, cloud::StorageTier::kCold);
+  // The text form keeps the canonical spelling.
+  EXPECT_NE(serialize(spec).find("\nkind = session\n"), std::string::npos);
+}
+
+TEST(ScenarioSpec, EveryKeyRejectsGarbageAndNonFiniteNumbers) {
+  // The key list comes from the codec itself, so a new key is covered
+  // without touching this test.
+  const ScenarioSpec original = full_spec();
+  std::istringstream lines(serialize(original));
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t eq = line.find(" = ");
+    ASSERT_NE(eq, std::string::npos) << line;
+    const std::string key = line.substr(0, eq);
+    const std::string value = line.substr(eq + 3);
+    ScenarioSpec spec = original;
+    if (key != "name" && key != "model") {
+      EXPECT_TRUE(set_field(spec, key, "abc").has_value()) << key;
+    }
+    double number = 0.0;
+    const auto [end, ec] =
+        std::from_chars(value.data(), value.data() + value.size(), number);
+    if (ec == std::errc() && end == value.data() + value.size()) {
+      EXPECT_TRUE(set_field(spec, key, "nan").has_value()) << key;
+      EXPECT_TRUE(set_field(spec, key, "inf").has_value()) << key;
+    }
+    EXPECT_EQ(spec, original) << key;
+  }
 }
 
 TEST(ScenarioSpec, ValidateFlagsDegenerateSupervision) {
@@ -525,14 +729,12 @@ TEST(ScenarioSpec, ValidateFlagsFleetSemantics) {
 }
 
 TEST(ScenarioSpec, FleetSchedulerPolicyNamesRoundTrip) {
-  fleet::SchedulerPolicy policy = fleet::SchedulerPolicy::kCostOptimal;
-  EXPECT_TRUE(fleet::scheduler_policy_from_name("round-robin", &policy));
-  EXPECT_EQ(policy, fleet::SchedulerPolicy::kRoundRobin);
-  EXPECT_STREQ(fleet::scheduler_policy_name(policy), "round-robin");
-  EXPECT_TRUE(fleet::scheduler_policy_from_name("cost-optimal", &policy));
-  EXPECT_EQ(policy, fleet::SchedulerPolicy::kCostOptimal);
-  EXPECT_STREQ(fleet::scheduler_policy_name(policy), "cost-optimal");
-  EXPECT_FALSE(fleet::scheduler_policy_from_name("greedy", &policy));
+  EXPECT_STREQ(
+      fleet::scheduler_policy_name(fleet::SchedulerPolicy::kRoundRobin),
+      "round-robin");
+  EXPECT_STREQ(
+      fleet::scheduler_policy_name(fleet::SchedulerPolicy::kCostOptimal),
+      "cost-optimal");
 }
 
 TEST(ScenarioSweep, ExpandTakesCartesianProductFirstAxisSlowest) {

@@ -241,6 +241,22 @@ TEST(ArgParser, ReportsErrors) {
   }
 }
 
+TEST(ArgParser, Uint64RejectsNonNumbersAndNegatives) {
+  std::uint64_t seed = 7;
+  std::string error;
+  for (const char* bad : {"banana", "-3"}) {
+    ArgParser args("prog", "test");
+    args.add_uint64("seed", "S", "seed", &seed);
+    EXPECT_FALSE(parse_args(args, {"--seed", bad}, &error)) << bad;
+    EXPECT_NE(error.find("--seed"), std::string::npos) << error;
+  }
+  EXPECT_EQ(seed, 7u);  // a rejected value is never stored
+  ArgParser args("prog", "test");
+  args.add_uint64("seed", "S", "seed", &seed);
+  ASSERT_TRUE(parse_args(args, {"--seed", "18446744073709551615"}, &error));
+  EXPECT_EQ(seed, 18446744073709551615u);
+}
+
 TEST(ArgParser, HelpStopsParsingAndListsOptions) {
   int jobs = 0;
   ArgParser args("prog", "does things");
