@@ -5,14 +5,13 @@
 // impacts." The planner ranks (region, local launch hour) pairs by the
 // hazard-model revocation probability for the job duration; this bench
 // prints the ranking extremes and validates them by Monte-Carlo sampling
-// on the parallel campaign engine (one single-cell campaign per plan,
+// on the parallel campaign engine (one single-cell launch sweep per plan,
 // each replica an independent seeded batch — deterministic for any
 // CMDARE_JOBS value).
 #include "bench_common.hpp"
 
 #include "scenario/catalog.hpp"
 #include "cmdare/planner.hpp"
-#include "exp/campaign.hpp"
 
 using namespace cmdare;
 
@@ -26,20 +25,21 @@ int jobs_from_env() {
 double sampled_revocation_fraction(cloud::Region region, cloud::GpuType gpu,
                                    int hour, double duration_hours,
                                    double* wall_seconds) {
-  exp::CampaignSpec spec;
-  spec.name = "launch-validate";
-  spec.seed = 1000;
-  spec.replicas = 60;  // x 50 samples = 3000 outcomes per plan
-  spec.regions = {region};
-  spec.gpus = {gpu};
-  spec.launch_hours = {hour};
-  spec.params["duration_hours"] = duration_hours;
-  spec.params["samples_per_replica"] = 50.0;
+  // One cell of the catalog's launch grid, launched at the UTC hour that
+  // puts `region` at local `hour`.
+  scenario::ScenarioSweep sweep = scenario::sweep_by_name("launch").sweep;
+  sweep.axes.clear();
+  sweep.replicas = 60;  // x 50 samples = 3000 outcomes per plan
+  sweep.base.workers = {{1, gpu, region, true}};
+  sweep.base.utc_start_hour =
+      (hour - cloud::region_info(region).utc_offset_hours + 24) % 24;
+  sweep.base.horizon_hours = duration_hours;
 
   exp::RunOptions options;
   options.jobs = jobs_from_env();
-  const exp::CampaignResult result =
-      exp::run_campaign(spec, scenario::launch_replica, options);
+  const scenario::ScenarioCampaignResult result =
+      scenario::run_scenario_campaign(sweep, options,
+                                      scenario::launch_replica);
   *wall_seconds += result.wall_seconds;
   return result.aggregates.front().metrics.at("revoked_in_job").running.mean();
 }

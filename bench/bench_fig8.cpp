@@ -1,15 +1,15 @@
 // Figure 8: lifetime analysis of transient GPU servers per region —
 // empirical CDFs of time-to-revocation (24-hour cap) and mean lifetimes.
 //
-// Runs on the parallel campaign engine (src/exp): the sampling work is a
-// "lifetime" campaign over the (GPU, region) grid, each replica drawing
-// an independent batch of lifetimes from its own seeded stream, so the
-// printed statistics are identical for any CMDARE_JOBS value.
+// Runs on the parallel campaign engine (src/exp): the sampling work is
+// the catalog's "lifetime" sweep over the (region, GPU) pools, each
+// replica drawing an independent batch of lifetimes from its own seeded
+// stream, so the printed statistics are identical for any CMDARE_JOBS
+// value.
 #include "bench_common.hpp"
 
 #include "scenario/catalog.hpp"
 #include "cloud/revocation.hpp"
-#include "exp/pool.hpp"
 #include "stats/ecdf.hpp"
 
 using namespace cmdare;
@@ -27,12 +27,13 @@ int main() {
   bench::print_header("Figure 8",
                       "transient lifetime CDFs by region and GPU type");
 
-  exp::CampaignSpec spec = scenario::campaign_by_name("lifetime").spec;
-  spec.replicas = 60;                        // x 50 samples = 3000 per cell
+  scenario::ScenarioSweep sweep = scenario::sweep_by_name("lifetime").sweep;
+  sweep.replicas = 60;                       // x 50 samples = 3000 per cell
   exp::RunOptions options;
   options.jobs = jobs_from_env();
-  const exp::CampaignResult result =
-      exp::run_campaign(spec, scenario::lifetime_replica, options);
+  const scenario::ScenarioCampaignResult result =
+      scenario::run_scenario_campaign(sweep, options,
+                                      scenario::lifetime_replica);
 
   for (cloud::GpuType gpu : cloud::kAllGpuTypes) {
     std::printf("\n--- %s ---\n", cloud::gpu_name(gpu));
@@ -41,16 +42,16 @@ int main() {
     std::printf("  | mean life (h) | MTTR|revoked (h) | survive 24h\n");
 
     for (std::size_t c = 0; c < result.cells.size(); ++c) {
-      const exp::CellSpec& cell = result.cells[c];
-      if (cell.gpu != gpu) continue;
-      if (!cloud::gpu_offered_in_region(cell.region, cell.gpu)) continue;
+      const scenario::WorkerGroup& pool = result.cells[c].spec.workers.front();
+      if (pool.gpu != gpu) continue;
+      if (!cloud::gpu_offered_in_region(pool.region, pool.gpu)) continue;
       const exp::CellAggregate& agg = result.aggregates[c];
       const auto& lifetimes_h = agg.metrics.at("lifetime_h").values;
       const double revoked_fraction =
           agg.metrics.at("revoked").running.mean();
 
       const stats::Ecdf cdf(lifetimes_h);
-      std::printf("%-14s", cloud::region_name(cell.region));
+      std::printf("%-14s", cloud::region_name(pool.region));
       for (int h = 2; h <= 24; h += 2) {
         std::printf("%5.0f%%", 100.0 * cdf(static_cast<double>(h) - 1e-9));
       }

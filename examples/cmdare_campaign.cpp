@@ -23,7 +23,6 @@
 #include <string>
 #include <string_view>
 
-#include "exp/pool.hpp"
 #include "scenario/catalog.hpp"
 #include "scenario/sweep.hpp"
 #include "util/args.hpp"
@@ -36,23 +35,12 @@ namespace {
 
 void print_catalog() {
   util::Table table({"name", "cells", "replicas", "description"});
-  for (const scenario::NamedCampaign& c : scenario::named_campaigns()) {
-    table.add_row({c.name, std::to_string(exp::cell_count(c.spec)),
-                   std::to_string(c.spec.replicas), c.description});
-  }
   for (const scenario::NamedScenarioSweep& s : scenario::named_sweeps()) {
     table.add_row({s.name, std::to_string(scenario::expand(s.sweep).size()),
                    std::to_string(s.sweep.replicas), s.description});
   }
   table.set_title("Available campaigns:");
   table.render(std::cout);
-}
-
-bool is_sweep(const std::string& name) {
-  for (const scenario::NamedScenarioSweep& s : scenario::named_sweeps()) {
-    if (s.name == name) return true;
-  }
-  return false;
 }
 
 exp::RunOptions make_options(int jobs, bool quiet,
@@ -94,10 +82,10 @@ int main(int argc, char** argv) {
                       /*required=*/false);
   args.add_flag("list", "print the campaign catalog and exit", &list);
   args.add_int("jobs", "N",
-               "worker threads (default: hardware concurrency; 1 = serial)",
-               &jobs);
+               "worker threads (default 0: hardware concurrency; 1 = serial)",
+               &jobs, 0);
   args.add_int("replicas", "N", "replicas per cell (default: the spec's)",
-               &replicas);
+               &replicas, 1);
   args.add_uint64("seed", "S", "campaign seed (default: the spec's)",
                   &seed);
   args.add_value("csv", "PATH", "write the aggregate CSV to PATH", &csv_path);
@@ -139,79 +127,39 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (is_sweep(name)) {
-    const scenario::NamedScenarioSweep& named = scenario::sweep_by_name(name);
-    scenario::ScenarioSweep sweep = named.sweep;
-    if (replicas > 0) sweep.replicas = replicas;
-    if (seed_set) sweep.seed = seed;
-
-    scenario::ScenarioCampaignResult result;
-    try {
-      result = scenario::run_scenario_campaign(
-          sweep, make_options(jobs, quiet, journal_path, resume),
-          named.replica);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-
-    util::Table table = result.summary_table();
-    table.set_title("Sweep \"" + sweep.name + "\" (seed " +
-                    std::to_string(sweep.seed) + ", " +
-                    std::to_string(sweep.replicas) + " replicas/cell):");
-    table.render(std::cout);
-    std::printf("\n%zu replicas over %zu cells in %s on %d thread(s)\n",
-                result.progress.replicas_total, result.progress.cells_total,
-                util::format_duration(result.wall_seconds).c_str(),
-                result.jobs_used);
-
-    if (!csv_path.empty()) {
-      std::ofstream out(csv_path);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
-        return 1;
-      }
-      result.write_csv(out);
-      std::printf("aggregates written to %s\n", csv_path.c_str());
-    }
-    return 0;
-  }
-
-  exp::CampaignSpec spec;
-  exp::ReplicaFn replica;
+  scenario::NamedScenarioSweep named;
   try {
-    const scenario::NamedCampaign& named = scenario::campaign_by_name(name);
-    spec = named.spec;
-    replica = named.replica;
+    named = scenario::sweep_by_name(name);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n\n", e.what());
     print_catalog();
     return 1;
   }
+  scenario::ScenarioSweep& sweep = named.sweep;
+  if (replicas > 0) sweep.replicas = replicas;
+  if (seed_set) sweep.seed = seed;
 
-  if (replicas > 0) spec.replicas = replicas;
-  if (seed_set) spec.seed = seed;
-
-  exp::CampaignResult result;
+  scenario::ScenarioCampaignResult result;
   try {
-    result = exp::run_campaign(
-        spec, replica, make_options(jobs, quiet, journal_path, resume));
+    result = scenario::run_scenario_campaign(
+        sweep, make_options(jobs, quiet, journal_path, resume),
+        named.replica);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 
   util::Table table = result.summary_table();
-  table.set_title("Campaign \"" + spec.name + "\" (seed " +
-                  std::to_string(spec.seed) + ", " +
-                  std::to_string(spec.replicas) + " replicas/cell):");
+  table.set_title("Campaign \"" + sweep.name + "\" (seed " +
+                  std::to_string(sweep.seed) + ", " +
+                  std::to_string(sweep.replicas) + " replicas/cell):");
   table.render(std::cout);
   std::printf("\n%zu replicas over %zu cells in %s on %d thread(s)",
               result.progress.replicas_total, result.progress.cells_total,
               util::format_duration(result.wall_seconds).c_str(),
               result.jobs_used);
-  if (result.total_failures() > 0) {
-    std::printf(" — %zu FAILED", result.total_failures());
+  if (result.progress.replicas_failed > 0) {
+    std::printf(" — %zu FAILED", result.progress.replicas_failed);
   }
   std::printf("\n");
 

@@ -96,10 +96,6 @@ std::string scn_description(const std::filesystem::path& path) {
 /// scenarios/*.scn (searched relative to the working directory).
 int print_catalog_listing() {
   util::Table campaigns({"campaign", "cells", "replicas", "description"});
-  for (const scenario::NamedCampaign& c : scenario::named_campaigns()) {
-    campaigns.add_row({c.name, std::to_string(exp::cell_count(c.spec)),
-                       std::to_string(c.spec.replicas), c.description});
-  }
   for (const scenario::NamedScenarioSweep& s : scenario::named_sweeps()) {
     campaigns.add_row({s.name,
                        std::to_string(scenario::expand(s.sweep).size()),
@@ -157,9 +153,9 @@ int main(int argc, char** argv) {
                     "sweep a spec field (turns the run into a campaign)",
                     &sweeps);
   args.add_int("replicas", "N", "campaign replicas per cell (default 1)",
-               &replicas);
-  args.add_int("jobs", "N", "campaign worker threads (default: hardware)",
-               &jobs);
+               &replicas, 1);
+  args.add_int("jobs", "N", "campaign worker threads (default 0: hardware)",
+               &jobs, 0);
   args.add_value("seed", "S", "override the spec's seed", &seed_text);
   args.add_value("csv", "PATH", "write campaign aggregates to PATH",
                  &csv_path);
@@ -249,7 +245,7 @@ int main(int argc, char** argv) {
     scenario::ScenarioSweep sweep;
     sweep.name = spec.name;
     sweep.base = spec;
-    sweep.replicas = replicas < 1 ? 1 : replicas;
+    sweep.replicas = replicas;
     sweep.seed = spec.seed;
     for (const std::string& axis_text : sweeps) {
       const std::size_t eq = axis_text.find('=');

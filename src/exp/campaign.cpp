@@ -3,15 +3,12 @@
 #include <chrono>
 #include <fstream>
 #include <mutex>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "exp/journal.hpp"
 #include "exp/pool.hpp"
 #include "stats/descriptive.hpp"
-#include "util/csv.hpp"
-#include "util/strings.hpp"
 
 namespace cmdare::exp {
 namespace {
@@ -45,8 +42,6 @@ struct Slot {
   std::unique_ptr<obs::Telemetry> telemetry;
 };
 
-std::string format_value(double v) { return util::format_double(v, 6); }
-
 }  // namespace
 
 double MetricAggregate::cov() const {
@@ -58,80 +53,6 @@ double MetricAggregate::cov() const {
 double MetricAggregate::quantile(double q) const {
   if (values.empty()) return 0.0;
   return stats::quantile(values, q);
-}
-
-void CampaignResult::write_csv(std::ostream& out) const {
-  util::CsvWriter writer(out);
-  writer.write_row({"campaign", "cell", "region", "gpu", "model",
-                    "cluster_size", "launch_hour", "fault_rate", "metric",
-                    "replicas_ok", "replicas_failed", "count", "mean", "sd",
-                    "cov", "min", "p10", "p50", "p90", "max"});
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const CellSpec& cell = cells[c];
-    const CellAggregate& agg = aggregates[c];
-    const std::vector<std::string> prefix = {
-        spec.name,
-        std::to_string(cell.index),
-        cloud::region_name(cell.region),
-        cloud::gpu_name(cell.gpu),
-        cell.model,
-        std::to_string(cell.cluster_size),
-        std::to_string(cell.launch_hour),
-        util::format_double(cell.fault_rate, 2)};
-    auto row_for = [&](const std::string& metric,
-                       const std::vector<std::string>& tail) {
-      std::vector<std::string> row = prefix;
-      row.push_back(metric);
-      row.push_back(std::to_string(agg.replicas_ok));
-      row.push_back(std::to_string(agg.replicas_failed));
-      row.insert(row.end(), tail.begin(), tail.end());
-      writer.write_row(row);
-    };
-    if (agg.metrics.empty()) {
-      // Keep the cell visible even when every replica failed (or none
-      // reported anything).
-      row_for("(none)", {"0", "0", "0", "0", "0", "0", "0", "0", "0"});
-      continue;
-    }
-    for (const auto& [metric, m] : agg.metrics) {
-      const bool has_sd = m.running.count() >= 2;
-      row_for(metric,
-              {std::to_string(m.running.count()),
-               format_value(m.running.mean()),
-               format_value(has_sd ? m.running.stddev() : 0.0),
-               format_value(m.cov()), format_value(m.running.min()),
-               format_value(m.quantile(0.10)), format_value(m.quantile(0.50)),
-               format_value(m.quantile(0.90)), format_value(m.running.max())});
-    }
-  }
-}
-
-util::Table CampaignResult::summary_table() const {
-  util::Table table({"cell", "metric", "n", "mean", "sd", "cov", "p10", "p50",
-                     "p90", "failed"});
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const CellAggregate& agg = aggregates[c];
-    if (agg.metrics.empty()) {
-      table.add_row({cells[c].label(), "(none)", "0", "", "", "", "", "", "",
-                     std::to_string(agg.replicas_failed)});
-      continue;
-    }
-    bool first = true;
-    for (const auto& [metric, m] : agg.metrics) {
-      const bool has_sd = m.running.count() >= 2;
-      table.add_row({first ? cells[c].label() : "", metric,
-                     std::to_string(m.running.count()),
-                     util::format_double(m.running.mean(), 4),
-                     util::format_double(has_sd ? m.running.stddev() : 0.0, 4),
-                     util::format_double(m.cov(), 3),
-                     util::format_double(m.quantile(0.10), 4),
-                     util::format_double(m.quantile(0.50), 4),
-                     util::format_double(m.quantile(0.90), 4),
-                     first ? std::to_string(agg.replicas_failed) : ""});
-      first = false;
-    }
-  }
-  return table;
 }
 
 GridResult run_grid(std::size_t cells, int replica_count, std::uint64_t seed,
@@ -327,42 +248,6 @@ GridResult run_grid(std::size_t cells, int replica_count, std::uint64_t seed,
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
           .count();
-  return result;
-}
-
-CampaignResult run_campaign(const CampaignSpec& spec, const ReplicaFn& replica,
-                            const RunOptions& options) {
-  if (!replica) {
-    throw std::invalid_argument("run_campaign: replica function is empty");
-  }
-  CampaignResult result;
-  result.spec = spec;
-  result.cells = expand(spec);
-
-  GridResult grid = run_grid(
-      result.cells.size(), spec.replicas, spec.seed,
-      [&](std::size_t c, int r, util::Rng& rng, obs::Telemetry* telemetry) {
-        ReplicaContext context{spec, result.cells[c], r, rng, telemetry};
-        return replica(context);
-      },
-      options);
-  result.aggregates = std::move(grid.aggregates);
-  result.progress = grid.progress;
-  result.jobs_used = grid.jobs_used;
-  result.wall_seconds = grid.wall_seconds;
-  result.telemetry = std::move(grid.telemetry);
-
-  if (obs::Registry* registry = obs::registry()) {
-    const obs::LabelSet labels = {{"campaign", spec.name}};
-    registry->counter("exp.campaign.replicas_total", labels)
-        .inc(static_cast<double>(result.progress.replicas_total));
-    registry->counter("exp.campaign.replicas_failed", labels)
-        .inc(static_cast<double>(result.progress.replicas_failed));
-    registry->counter("exp.campaign.cells_total", labels)
-        .inc(static_cast<double>(result.cells.size()));
-    registry->histogram("exp.campaign.wall_seconds", labels)
-        .observe(result.wall_seconds);
-  }
   return result;
 }
 

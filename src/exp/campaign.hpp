@@ -1,14 +1,16 @@
 // Parallel Monte-Carlo campaign engine.
 //
-// run_campaign() expands a CampaignSpec into cells, runs `replicas`
-// independent replicas per cell on a ThreadPool, and streams the replica
-// observations into per-cell aggregates. The design invariants:
+// run_grid() runs `replicas` independent replicas for each of `cells`
+// grid cells on a ThreadPool and streams the replica observations into
+// per-cell aggregates. What a cell means is the caller's business (the
+// scenario layer's sweeps map cell c to the c-th expanded spec). The
+// design invariants:
 //
 //   * Determinism for any thread count. Replica (c, r) draws every
-//     random number from Rng(spec.seed).fork(c).fork(r) — no shared
+//     random number from Rng(seed).fork(c).fork(r) — no shared
 //     stream — and aggregation folds replicas *in index order within
 //     each cell* (out-of-order completions are buffered until their
-//     predecessors arrive), so the aggregate CSV is byte-identical at
+//     predecessors arrive), so every aggregate is bit-identical at
 //     --jobs 1 and --jobs N. tests/exp_campaign_test.cpp pins this.
 //   * Replica isolation. Each replica builds its own simulator and, when
 //     telemetry capture is on, gets its own obs::Telemetry installed
@@ -25,32 +27,17 @@
 
 #include <cstddef>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "exp/spec.hpp"
 #include "obs/obs.hpp"
 #include "stats/running.hpp"
 #include "util/rng.hpp"
-#include "util/table.hpp"
 
 namespace cmdare::exp {
-
-/// Everything a replica function gets to work with. The rng is the
-/// replica's private stream; the telemetry bundle (when capture is on)
-/// is also installed as the thread's active sink, so instrumented
-/// library code inside the replica lands in it automatically.
-struct ReplicaContext {
-  const CampaignSpec& spec;
-  const CellSpec& cell;
-  int replica = 0;
-  util::Rng rng;
-  obs::Telemetry* telemetry = nullptr;
-};
 
 /// A replica reports observations as (metric, value) pairs. A metric
 /// name may repeat: each occurrence is one observation (e.g. a batch of
@@ -62,8 +49,6 @@ struct ReplicaResult {
     observations.emplace_back(std::move(metric), value);
   }
 };
-
-using ReplicaFn = std::function<ReplicaResult(ReplicaContext&)>;
 
 struct ReplicaFailure {
   int replica = 0;
@@ -104,8 +89,8 @@ struct RunOptions {
   /// hardware thread, N = exactly N.
   int jobs = 0;
   /// Give every replica its own obs::Telemetry bundle and merge them all
-  /// (tracks prefixed "cell<c>/replica<r>/") into CampaignResult::
-  /// telemetry. Off by default: a large campaign's merged trace is big.
+  /// (tracks prefixed "cell<c>/replica<r>/") into GridResult::telemetry.
+  /// Off by default: a large campaign's merged trace is big.
   bool capture_telemetry = false;
   /// Serialized progress callback; fires after every folded replica.
   std::function<void(const Progress&)> on_progress;
@@ -125,33 +110,10 @@ struct RunOptions {
   bool resume = false;
 };
 
-struct CampaignResult {
-  CampaignSpec spec;
-  std::vector<CellSpec> cells;
-  std::vector<CellAggregate> aggregates;  // parallel to cells
-  Progress progress;                      // final counts
-  int jobs_used = 1;
-  double wall_seconds = 0.0;  // informational; never part of the CSV
-  /// Merged per-replica telemetry; null unless capture_telemetry.
-  std::unique_ptr<obs::Telemetry> telemetry;
-
-  std::size_t total_failures() const { return progress.replicas_failed; }
-
-  /// Deterministic aggregate CSV: one row per (cell, metric) with count,
-  /// mean, sd, CoV, min, p10/p50/p90, max, plus the cell's ok/failed
-  /// replica counts. Byte-identical across thread counts by design.
-  void write_csv(std::ostream& out) const;
-  /// The same rows as an ASCII table for terminal output.
-  util::Table summary_table() const;
-};
-
-/// The generic engine underneath run_campaign (and the scenario layer's
-/// run_scenario_campaign): a `cells x replicas` task grid where replica
-/// (c, r) draws from Rng(seed).fork(c).fork(r). The callback receives the
+/// Replica callback for cell `cell`, replica `replica`: gets the
 /// replica's private rng and (when capture is on) its telemetry bundle,
-/// already installed thread-locally. Everything else — the per-cell
-/// in-order fold, crash isolation, deterministic telemetry merge — is
-/// identical to run_campaign, which is now a thin wrapper.
+/// already installed thread-locally, so instrumented library code inside
+/// the replica lands in it automatically.
 using GridReplicaFn = std::function<ReplicaResult(
     std::size_t cell, int replica, util::Rng& rng, obs::Telemetry* telemetry)>;
 
@@ -169,12 +131,5 @@ struct GridResult {
 GridResult run_grid(std::size_t cells, int replicas, std::uint64_t seed,
                     const GridReplicaFn& replica,
                     const RunOptions& options = {});
-
-/// Runs the campaign. Also records summary counters
-/// (exp.campaign.replicas_total / .replicas_failed / .cells_total) into
-/// the *caller thread's* obs registry, when one is installed, after the
-/// run completes — worker threads never touch the caller's bundle.
-CampaignResult run_campaign(const CampaignSpec& spec, const ReplicaFn& replica,
-                            const RunOptions& options = {});
 
 }  // namespace cmdare::exp

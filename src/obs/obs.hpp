@@ -19,7 +19,7 @@
 // nor Tracer is internally synchronized; the per-replica-sink contract is
 // what makes them safe. To combine per-replica telemetry, collect the
 // bundles after the threads join and fold them with Registry::merge() /
-// Tracer::merge() (exp::run_campaign does this in a deterministic order).
+// Tracer::merge() (exp::run_grid does this in a deterministic order).
 // A bundle installed on one thread is never visible to another; threads
 // that have not installed anything see telemetry disabled.
 // tests/obs_concurrency_test.cpp holds the TSan-clean proof of this

@@ -18,18 +18,32 @@ const cloud::RevocationModel& revocation_model() {
   return model;
 }
 
+/// Revocation samples each census replica draws.
+constexpr int kSamplesPerReplica = 50;
+
+/// One `1 x <gpu> @ <region>` pool per (region, GPU) pair, region-major.
+std::vector<std::string> every_pool() {
+  std::vector<std::string> pools;
+  for (const cloud::Region region : cloud::kAllRegions) {
+    for (const cloud::GpuType gpu : cloud::kAllGpuTypes) {
+      pools.push_back(std::string("1 x ") + cloud::gpu_name(gpu) + " @ " +
+                      cloud::region_name(region));
+    }
+  }
+  return pools;
+}
+
 }  // namespace
 
-exp::ReplicaResult lifetime_replica(exp::ReplicaContext& context) {
+exp::ReplicaResult lifetime_replica(const ScenarioCell& cell, int /*replica*/,
+                                    util::Rng& rng,
+                                    obs::Telemetry* /*telemetry*/) {
   exp::ReplicaResult result;
-  const exp::CellSpec& cell = context.cell;
-  if (!cloud::gpu_offered_in_region(cell.region, cell.gpu)) return result;
-  const int samples =
-      static_cast<int>(context.spec.param("samples_per_replica", 50.0));
-  for (int i = 0; i < samples; ++i) {
+  const WorkerGroup& pool = cell.spec.workers.at(0);
+  if (!cloud::gpu_offered_in_region(pool.region, pool.gpu)) return result;
+  for (int i = 0; i < kSamplesPerReplica; ++i) {
     const auto age = revocation_model().sample_revocation_age_seconds(
-        cell.region, cell.gpu, static_cast<double>(cell.launch_hour),
-        context.rng);
+        pool.region, pool.gpu, cloud::kReferenceLaunchLocalHour, rng);
     const double hours =
         age.value_or(cloud::kMaxTransientLifetimeSeconds) / 3600.0;
     result.observe("lifetime_h", hours);
@@ -38,41 +52,42 @@ exp::ReplicaResult lifetime_replica(exp::ReplicaContext& context) {
   return result;
 }
 
-exp::ReplicaResult launch_replica(exp::ReplicaContext& context) {
+exp::ReplicaResult launch_replica(const ScenarioCell& cell, int /*replica*/,
+                                  util::Rng& rng,
+                                  obs::Telemetry* /*telemetry*/) {
   exp::ReplicaResult result;
-  const exp::CellSpec& cell = context.cell;
-  if (!cloud::gpu_offered_in_region(cell.region, cell.gpu)) return result;
-  const double duration_h = context.spec.param("duration_hours", 8.0);
-  const int samples =
-      static_cast<int>(context.spec.param("samples_per_replica", 50.0));
-  for (int i = 0; i < samples; ++i) {
+  const WorkerGroup& pool = cell.spec.workers.at(0);
+  if (!cloud::gpu_offered_in_region(pool.region, pool.gpu)) return result;
+  const double hour =
+      cloud::local_hour(pool.region, cell.spec.utc_start_hour, 0.0);
+  const double job_seconds = cell.spec.horizon_hours * 3600.0;
+  for (int i = 0; i < kSamplesPerReplica; ++i) {
     const auto age = revocation_model().sample_revocation_age_seconds(
-        cell.region, cell.gpu, static_cast<double>(cell.launch_hour),
-        context.rng);
-    result.observe("revoked_in_job",
-                   age && *age <= duration_h * 3600.0 ? 1.0 : 0.0);
+        pool.region, pool.gpu, hour, rng);
+    result.observe("revoked_in_job", age && *age <= job_seconds ? 1.0 : 0.0);
   }
   return result;
 }
 
-ScenarioSpec speed_scenario(const exp::CampaignSpec& spec,
-                            const exp::CellSpec& cell) {
-  ScenarioSpec scenario;
-  scenario.name = spec.name + "/" + cell.label();
-  scenario.kind = HarnessKind::kSession;
-  scenario.seed = spec.seed;
-  scenario.model = cell.model;
-  scenario.workers = {{cell.cluster_size, cell.gpu, cell.region, true}};
-  scenario.max_steps = static_cast<long>(spec.param("steps", 800.0));
-  return scenario;
+ScenarioSpec speed_scenario() {
+  ScenarioSpec spec;
+  spec.name = "speed";
+  spec.kind = HarnessKind::kSession;
+  spec.seed = 42;
+  spec.model = "resnet-15";
+  spec.workers = {{1, cloud::GpuType::kK80, cloud::Region::kUsCentral1,
+                   true}};
+  spec.max_steps = 800;
+  return spec;
 }
 
-exp::ReplicaResult speed_replica(exp::ReplicaContext& context) {
-  const ScenarioSpec scenario = speed_scenario(context.spec, context.cell);
-  const long steps = scenario.max_steps;
+exp::ReplicaResult speed_replica(const ScenarioCell& cell, int /*replica*/,
+                                 util::Rng& rng,
+                                 obs::Telemetry* /*telemetry*/) {
+  const long steps = cell.spec.max_steps;
   const long discard = std::min<long>(100, steps / 4);
 
-  SimHarness harness(scenario, context.rng);
+  SimHarness harness(cell.spec, rng);
   harness.run();
   const train::TrainingSession& session = *harness.session();
 
@@ -85,41 +100,40 @@ exp::ReplicaResult speed_replica(exp::ReplicaContext& context) {
   return result;
 }
 
-ScenarioSpec resilience_scenario(const exp::CampaignSpec& spec,
-                                 const exp::CellSpec& cell) {
-  ScenarioSpec scenario;
-  scenario.name = spec.name + "/" + cell.label();
-  scenario.kind = HarnessKind::kRun;
-  scenario.seed = spec.seed;
-  scenario.model = cell.model;
-  scenario.workers = {{cell.cluster_size, cell.gpu, cell.region, true}};
-  scenario.max_steps = static_cast<long>(spec.param("steps", 400.0));
-  scenario.checkpoint_interval_steps =
-      static_cast<long>(spec.param("checkpoint_interval_steps", 100.0));
-  scenario.horizon_hours = spec.param("horizon_hours", 48.0);
+ScenarioSpec resilience_scenario() {
+  ScenarioSpec spec;
+  spec.name = "resilience";
+  spec.kind = HarnessKind::kRun;
+  spec.seed = 77;
+  spec.model = "resnet-15";
+  spec.workers = {{2, cloud::GpuType::kK80, cloud::Region::kUsCentral1,
+                   true}};
+  spec.max_steps = 400;
+  spec.checkpoint_interval_steps = 100;
+  spec.horizon_hours = 48.0;
 
-  // The adversarial cloud: uniform fault rates across every injection
-  // site plus one early capacity stockout for the cell's (region, GPU),
-  // long enough that backoff alone cannot wait it out
-  // (stockouts_before_fallback retries reach the ladder first).
-  scenario.faults = faults::FaultPlan::uniform(cell.fault_rate);
-  if (cell.fault_rate > 0.0) {
-    faults::StockoutWindow window;
-    window.region = cell.region;
-    window.gpu = cell.gpu;
-    window.start_s = spec.param("stockout_start_s", 300.0);
-    window.end_s = window.start_s + spec.param("stockout_seconds", 1800.0);
-    scenario.faults.stockouts.push_back(window);
-  }
-  return scenario;
+  // The adversarial cloud: the sweep's fault_rate axis sets uniform
+  // rates across every injection site, and one early capacity stockout
+  // of the workers' pool is long enough that backoff alone cannot wait
+  // it out (stockouts_before_fallback retries reach the ladder first).
+  // Fault-free runs finish before it opens.
+  faults::StockoutWindow window;
+  window.region = cloud::Region::kUsCentral1;
+  window.gpu = cloud::GpuType::kK80;
+  window.start_s = 300.0;
+  window.end_s = 2100.0;
+  spec.faults.stockouts.push_back(window);
+  return spec;
 }
 
-exp::ReplicaResult resilience_replica(exp::ReplicaContext& context) {
+exp::ReplicaResult resilience_replica(const ScenarioCell& cell,
+                                      int /*replica*/, util::Rng& rng,
+                                      obs::Telemetry* /*telemetry*/) {
   exp::ReplicaResult result;
-  const exp::CellSpec& cell = context.cell;
-  if (!cloud::gpu_offered_in_region(cell.region, cell.gpu)) return result;
+  const WorkerGroup& pool = cell.spec.workers.at(0);
+  if (!cloud::gpu_offered_in_region(pool.region, pool.gpu)) return result;
 
-  SimHarness harness(resilience_scenario(context.spec, cell), context.rng);
+  SimHarness harness(cell.spec, rng);
   const ScenarioResult outcome = harness.run();
 
   result.observe("completed", outcome.finished ? 1.0 : 0.0);
@@ -401,100 +415,77 @@ exp::ReplicaResult ckpt_replica(const ScenarioCell& cell, int /*replica*/,
   return result;
 }
 
-const std::vector<NamedCampaign>& named_campaigns() {
-  static const std::vector<NamedCampaign> campaigns = [] {
-    std::vector<NamedCampaign> list;
-
-    {
-      NamedCampaign c;
-      c.name = "lifetime";
-      c.description =
-          "Fig. 8 / Table V: transient lifetimes and 24 h revocation "
-          "fractions over every measured (region, GPU) pair";
-      c.spec.name = c.name;
-      c.spec.seed = 8;
-      c.spec.replicas = 64;
-      c.spec.regions.assign(cloud::kAllRegions.begin(),
-                            cloud::kAllRegions.end());
-      c.spec.gpus.assign(cloud::kAllGpuTypes.begin(),
-                         cloud::kAllGpuTypes.end());
-      c.spec.launch_hours = {
-          static_cast<int>(cloud::kReferenceLaunchLocalHour)};
-      c.spec.params["samples_per_replica"] = 50.0;
-      c.replica = lifetime_replica;
-      list.push_back(std::move(c));
-    }
-
-    {
-      NamedCampaign c;
-      c.name = "launch";
-      c.description =
-          "Section V-C ablation grid: P(revoked within an 8 h job) over "
-          "(region, GPU, local launch hour)";
-      c.spec.name = c.name;
-      c.spec.seed = 1000;
-      c.spec.replicas = 64;
-      c.spec.regions.assign(cloud::kAllRegions.begin(),
-                            cloud::kAllRegions.end());
-      c.spec.gpus.assign(cloud::kAllGpuTypes.begin(),
-                         cloud::kAllGpuTypes.end());
-      c.spec.launch_hours = {0, 4, 8, 12, 16, 20};
-      c.spec.params["duration_hours"] = 8.0;
-      c.spec.params["samples_per_replica"] = 25.0;
-      c.replica = launch_replica;
-      list.push_back(std::move(c));
-    }
-
-    {
-      NamedCampaign c;
-      c.name = "speed";
-      c.description =
-          "Tables I/III: training speed distributions per (GPU, cluster "
-          "size) for ResNet-15/32, one PS";
-      c.spec.name = c.name;
-      c.spec.seed = 42;
-      c.spec.replicas = 16;
-      c.spec.gpus.assign(cloud::kAllGpuTypes.begin(),
-                         cloud::kAllGpuTypes.end());
-      c.spec.models = {"resnet-15", "resnet-32"};
-      c.spec.cluster_sizes = {1, 4};
-      c.spec.params["steps"] = 800.0;
-      c.replica = speed_replica;
-      list.push_back(std::move(c));
-    }
-
-    {
-      NamedCampaign c;
-      c.name = "resilience";
-      c.description =
-          "Degradation curves under injected cloud faults: completion "
-          "rate, makespan, cost and retry/fallback counts vs fault rate";
-      c.spec.name = c.name;
-      c.spec.seed = 77;
-      c.spec.replicas = 8;
-      c.spec.cluster_sizes = {2};
-      c.spec.fault_rates = {0.0, 0.05, 0.1, 0.2};
-      c.spec.params["steps"] = 400.0;
-      c.spec.params["checkpoint_interval_steps"] = 100.0;
-      c.replica = resilience_replica;
-      list.push_back(std::move(c));
-    }
-
-    return list;
-  }();
-  return campaigns;
-}
-
-const NamedCampaign& campaign_by_name(const std::string& name) {
-  for (const NamedCampaign& c : named_campaigns()) {
-    if (c.name == name) return c;
-  }
-  throw std::invalid_argument("campaign_by_name: unknown campaign " + name);
-}
-
 const std::vector<NamedScenarioSweep>& named_sweeps() {
   static const std::vector<NamedScenarioSweep> sweeps = [] {
     std::vector<NamedScenarioSweep> list;
+
+    {
+      NamedScenarioSweep s;
+      s.name = "lifetime";
+      s.description =
+          "Fig. 8 / Table V: transient lifetimes and 24 h revocation "
+          "fractions over every measured (region, GPU) pair";
+      s.sweep.name = s.name;
+      s.sweep.base.name = s.name;
+      s.sweep.base.kind = HarnessKind::kCloud;
+      s.sweep.axes = {{"workers", every_pool()}};
+      s.sweep.replicas = 64;
+      s.sweep.seed = 8;
+      s.replica = lifetime_replica;
+      list.push_back(std::move(s));
+    }
+
+    {
+      NamedScenarioSweep s;
+      s.name = "launch";
+      s.description =
+          "Section V-C ablation grid: P(revoked within an 8 h job) over "
+          "(region, GPU, UTC launch hour)";
+      s.sweep.name = s.name;
+      s.sweep.base.name = s.name;
+      s.sweep.base.kind = HarnessKind::kCloud;
+      s.sweep.base.horizon_hours = 8.0;
+      s.sweep.axes = {{"workers", every_pool()},
+                      {"utc_start_hour", {"0", "4", "8", "12", "16", "20"}}};
+      s.sweep.replicas = 32;
+      s.sweep.seed = 1000;
+      s.replica = launch_replica;
+      list.push_back(std::move(s));
+    }
+
+    {
+      NamedScenarioSweep s;
+      s.name = "speed";
+      s.description =
+          "Tables I/III: training speed distributions per (GPU, cluster "
+          "size) for ResNet-15/32, one PS";
+      s.sweep.name = s.name;
+      s.sweep.base = speed_scenario();
+      s.sweep.axes = {{"workers",
+                       {"1 x K80 @ us-central1", "4 x K80 @ us-central1",
+                        "1 x P100 @ us-central1", "4 x P100 @ us-central1",
+                        "1 x V100 @ us-central1", "4 x V100 @ us-central1"}},
+                      {"model", {"resnet-15", "resnet-32"}}};
+      s.sweep.replicas = 16;
+      s.sweep.seed = 42;
+      s.replica = speed_replica;
+      list.push_back(std::move(s));
+    }
+
+    {
+      NamedScenarioSweep s;
+      s.name = "resilience";
+      s.description =
+          "Degradation curves under injected cloud faults: completion "
+          "rate, makespan, cost and retry/fallback counts vs fault rate";
+      s.sweep.name = s.name;
+      s.sweep.base = resilience_scenario();
+      s.sweep.axes = {{"fault_rate", {"0", "0.05", "0.1", "0.2"}}};
+      s.sweep.replicas = 8;
+      s.sweep.seed = 77;
+      s.replica = resilience_replica;
+      list.push_back(std::move(s));
+    }
 
     {
       NamedScenarioSweep s;

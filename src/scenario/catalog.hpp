@@ -1,18 +1,17 @@
-// Named Monte-Carlo campaigns: the paper's measurement studies
-// re-expressed as exp::CampaignSpec grids over the scenario layer.
+// Named Monte-Carlo campaigns: the paper's measurement studies as
+// ScenarioSweep entries over one engine.
 //
-// Each entry pairs a declarative factor grid with the replica function
-// that realizes one independent sample of the study — the Figure 8 /
-// Table V lifetime census, the launch-placement sweep behind the
-// Section V-C ablation, and the cluster training-speed sweeps of
-// Tables I/III. The simulation-backed replicas (speed, resilience) are
-// thin wrappers now: a cell -> ScenarioSpec transform plus SimHarness,
-// forking the same stream labels the hand-wired versions always did, so
-// the campaign CSVs are byte-identical to the pre-scenario-layer output
-// (tests/scenario_harness_test.cpp and tests/resilience_campaign_test.cpp
-// pin this). The `cmdare_campaign` CLI example runs catalog entries by
-// name; bench_fig8 and bench_ablation_launch build their statistics on
-// the same replica functions through the parallel engine.
+// Each entry pairs a base ScenarioSpec and its sweep axes with the
+// replica function that realizes one independent sample of the study —
+// the Figure 8 / Table V lifetime census, the launch-placement grid
+// behind the Section V-C ablation, the cluster training-speed sweeps of
+// Tables I/III, the fault-rate degradation curves, and the supervision,
+// fleet, storm and checkpoint studies. Every replica reads its cell from
+// the cell's spec (pool, launch hour, job length, step budget), so a
+// campaign is fully described by spec keys. The `cmdare_campaign` CLI
+// example runs catalog entries by name; bench_fig8 and
+// bench_ablation_launch build their statistics on the same replica
+// functions through the parallel engine.
 #pragma once
 
 #include <string>
@@ -24,17 +23,8 @@
 
 namespace cmdare::scenario {
 
-struct NamedCampaign {
-  std::string name;
-  std::string description;
-  exp::CampaignSpec spec;
-  exp::ReplicaFn replica;
-};
-
-/// A catalog entry over the generic sweep engine: a base ScenarioSpec
-/// plus set_field axes instead of an exp::CampaignSpec factor grid. The
-/// supervision studies live here because their factors (heartbeat
-/// timeout, abrupt-kill rate) are spec keys, not grid factors.
+/// A catalog entry: a base ScenarioSpec plus set_field axes, and the
+/// replica that turns one cell into observations.
 struct NamedScenarioSweep {
   std::string name;
   std::string description;
@@ -42,54 +32,54 @@ struct NamedScenarioSweep {
   ScenarioReplicaFn replica;  // empty = harness_replica
 };
 
-/// The campaign catalog. Specs carry sensible defaults (replica counts,
-/// params); callers may override seed/replicas/jobs before running.
-const std::vector<NamedCampaign>& named_campaigns();
-
-/// Catalog lookup; throws std::invalid_argument for unknown names.
-const NamedCampaign& campaign_by_name(const std::string& name);
-
-/// The scenario-sweep catalog (run via run_scenario_campaign).
+/// The campaign catalog (run via run_scenario_campaign). Sweeps carry
+/// sensible defaults (replica counts, seeds); callers may override
+/// seed/replicas/jobs before running.
 const std::vector<NamedScenarioSweep>& named_sweeps();
 
-/// Sweep lookup; throws std::invalid_argument for unknown names.
+/// Catalog lookup; throws std::invalid_argument for unknown names.
 const NamedScenarioSweep& sweep_by_name(const std::string& name);
 
-/// Cell -> ScenarioSpec transforms behind the simulation-backed
-/// campaigns, exposed so callers can lift a single cell into a .scn file
-/// or a SimHarness of their own.
-ScenarioSpec speed_scenario(const exp::CampaignSpec& spec,
-                            const exp::CellSpec& cell);
-ScenarioSpec resilience_scenario(const exp::CampaignSpec& spec,
-                                 const exp::CellSpec& cell);
+/// `lifetime`: samples 50 transient-server lifetimes for the cell's pool
+/// (its first worker group) launched at 9 AM local time, Fig. 8's
+/// convention; observations: "lifetime_h" (24 h-capped) and "revoked"
+/// (0/1). Pools the paper did not measure report nothing.
+exp::ReplicaResult lifetime_replica(const ScenarioCell& cell, int replica,
+                                    util::Rng& rng, obs::Telemetry* telemetry);
 
-/// Replica functions, exposed so benches can pair them with custom grids.
-///
-/// `lifetime`: samples `params["samples_per_replica"]` (default 50)
-/// transient-server lifetimes for the cell's (region, GPU, launch hour);
-/// observations: "lifetime_h" (24 h-capped) and "revoked" (0/1). Cells
-/// whose (region, GPU) pair the paper did not measure report nothing.
-exp::ReplicaResult lifetime_replica(exp::ReplicaContext& context);
+/// `launch`: samples 50 revocation outcomes for a job of `horizon_hours`
+/// launched on the cell's pool at `utc_start_hour` (the pool's local
+/// hour follows from its region); observation: "revoked_in_job" (0/1)
+/// per sample.
+exp::ReplicaResult launch_replica(const ScenarioCell& cell, int replica,
+                                  util::Rng& rng, obs::Telemetry* telemetry);
 
-/// `launch`: samples revocation outcomes for a job of
-/// `params["duration_hours"]` (default 8) launched at the cell's local
-/// hour; observation: "revoked_in_job" (0/1) per sample.
-exp::ReplicaResult launch_replica(exp::ReplicaContext& context);
+/// `speed`: runs one training session of the cell's spec, discarding
+/// the first min(100, max_steps / 4) steps as warm-up; observations:
+/// "steps_per_s" and "step_ms" (per-worker mean).
+exp::ReplicaResult speed_replica(const ScenarioCell& cell, int replica,
+                                 util::Rng& rng, obs::Telemetry* telemetry);
 
-/// `speed`: runs one training session (cell.cluster_size workers of
-/// cell.gpu on cell.model, one PS) for `params["steps"]` (default 800)
-/// steps; observations: "steps_per_s" and "step_ms" (per-worker mean).
-exp::ReplicaResult speed_replica(exp::ReplicaContext& context);
+/// The base spec behind the `speed` sweep: one PS, one us-central1 K80
+/// worker on ResNet-15 for 800 steps (the axes set pool and model).
+ScenarioSpec speed_scenario();
 
 /// `resilience`: runs one full TransientTrainingRun (auto-replacement,
-/// checkpoints to an ObjectStore) against a cloud with a
-/// FaultPlan::uniform(cell.fault_rate) injector plus one capacity
-/// stockout window, bounded by `params["horizon_hours"]` (default 48).
-/// Observations: "completed" (0/1), "makespan_s" (finished runs only),
-/// "cost_usd", "launch_retries", "fallbacks", "slots_abandoned",
-/// "revocations", "abrupt_kills", "checkpoints", "faults_injected" —
-/// the raw material of the degradation curves in EXPERIMENTS.md.
-exp::ReplicaResult resilience_replica(exp::ReplicaContext& context);
+/// checkpoints to an ObjectStore) of the cell's spec, whose fault_rate
+/// axis sets the uniform injection rates. Observations: "completed"
+/// (0/1), "makespan_s" (finished runs only), "cost_usd",
+/// "launch_retries", "fallbacks", "slots_abandoned", "revocations",
+/// "abrupt_kills", "checkpoints", "faults_injected" — the raw material
+/// of the degradation curves in EXPERIMENTS.md.
+exp::ReplicaResult resilience_replica(const ScenarioCell& cell, int replica,
+                                      util::Rng& rng,
+                                      obs::Telemetry* telemetry);
+
+/// The base spec behind the `resilience` sweep: two us-central1 K80s,
+/// 400 steps with a checkpoint every 100, a 48 h horizon, and one
+/// 30-minute K80 capacity stockout from t=300 s, long enough that
+/// backoff alone cannot wait it out.
+ScenarioSpec resilience_scenario();
 
 /// `detection`: one supervised TransientTrainingRun per replica on the
 /// short-lived europe-west1 K80 pool with every fault notice-less at

@@ -109,6 +109,8 @@ void ScenarioCampaignResult::write_csv(std::ostream& out) const {
       writer.write_row(row);
     };
     if (agg.metrics.empty()) {
+      // Keep the cell visible even when every replica failed (or none
+      // reported anything, like a lifetime pool the paper never measured).
       row_for("(none)", {"0", "0", "0", "0", "0", "0", "0", "0", "0"});
       continue;
     }

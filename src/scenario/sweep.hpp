@@ -28,6 +28,7 @@
 #include "exp/campaign.hpp"
 #include "scenario/harness.hpp"
 #include "scenario/spec.hpp"
+#include "util/table.hpp"
 
 namespace cmdare::scenario {
 

@@ -65,10 +65,17 @@ void ArgParser::add_repeated(const std::string& name, std::string hint,
 }
 
 void ArgParser::add_int(const std::string& name, std::string hint,
-                        std::string help, int* out) {
+                        std::string help, int* out, int min) {
   add_option({name, std::move(hint), std::move(help),
-              [out](const std::string& value) {
-                return parse_number(value, out);
+              [out, min](const std::string& value) {
+                int parsed = 0;
+                std::string error = parse_number(value, &parsed);
+                if (error.empty() && parsed < min) {
+                  error = "must be at least " + std::to_string(min) +
+                          ", got " + value;
+                }
+                if (error.empty()) *out = parsed;
+                return error;
               },
               true});
 }

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -35,9 +36,9 @@ class ArgParser {
   void add_repeated(const std::string& name, std::string hint,
                     std::string help, std::vector<std::string>* out);
   /// `--name <hint>` parsed as int / uint64; a non-numeric value is a
-  /// parse error.
+  /// parse error, and so is an int below `min`.
   void add_int(const std::string& name, std::string hint, std::string help,
-               int* out);
+               int* out, int min = std::numeric_limits<int>::min());
   void add_uint64(const std::string& name, std::string hint, std::string help,
                   std::uint64_t* out);
 

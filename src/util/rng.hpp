@@ -43,7 +43,7 @@ class Rng {
   /// integer arithmetic — no hashing of a formatted string — so the
   /// mapping (parent state, index) -> stream is identical on every
   /// platform and is pinned by a regression test; campaign seeding
-  /// (exp::run_campaign) depends on it staying fixed. Distinct indices
+  /// (exp::run_grid) depends on it staying fixed. Distinct indices
   /// give decorrelated streams, and fork(i) never collides with a
   /// fork(name) stream because the index is mixed through a different
   /// finalizer than the FNV-1a string path.

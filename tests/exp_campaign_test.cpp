@@ -24,79 +24,74 @@ int hardware_jobs() {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
+// The test grid: 4 cells x 64 replicas at seed 7.
+constexpr std::size_t kCells = 4;
+constexpr int kReplicas = 64;
+constexpr std::uint64_t kSeed = 7;
+
 // A cheap, fully deterministic replica: a few floating-point
 // observations derived from the replica's private stream and the cell
-// factors.
-ReplicaResult arithmetic_replica(ReplicaContext& context) {
+// index.
+ReplicaResult arithmetic_replica(std::size_t cell, int /*replica*/,
+                                 util::Rng& rng, obs::Telemetry*) {
   ReplicaResult result;
-  double acc = static_cast<double>(context.cell.index + 1);
+  double acc = static_cast<double>(cell + 1);
   for (int i = 0; i < 16; ++i) {
-    acc += context.rng.uniform() * context.cell.cluster_size;
+    acc += rng.uniform() * static_cast<double>(cell % 2 == 0 ? 1 : 3);
     result.observe("acc", acc);
   }
-  result.observe("first_uniform", context.rng.uniform());
+  result.observe("first_uniform", rng.uniform());
   return result;
 }
 
-CampaignSpec small_spec() {
-  CampaignSpec spec;
-  spec.name = "test";
-  spec.seed = 7;
-  spec.replicas = 64;
-  spec.regions = {cloud::Region::kUsEast1, cloud::Region::kUsWest1};
-  spec.gpus = {cloud::GpuType::kK80};
-  spec.cluster_sizes = {1, 3};
-  return spec;
+GridResult run_test_grid(const GridReplicaFn& replica,
+                         const RunOptions& options, int replicas = kReplicas,
+                         std::uint64_t seed = kSeed) {
+  return run_grid(kCells, replicas, seed, replica, options);
 }
 
-std::string aggregate_csv(const CampaignResult& result) {
-  std::ostringstream out;
-  result.write_csv(out);
-  return out.str();
-}
-
-TEST(CampaignSpec, ExpandTakesCartesianProductInDeclarationOrder) {
-  CampaignSpec spec;
-  spec.regions = {cloud::Region::kUsEast1, cloud::Region::kUsWest1};
-  spec.gpus = {cloud::GpuType::kK80, cloud::GpuType::kV100};
-  spec.models = {"resnet-15"};
-  spec.cluster_sizes = {1, 2, 4};
-  spec.launch_hours = {9};
-  const auto cells = expand(spec);
-  ASSERT_EQ(cells.size(), 12u);
-  EXPECT_EQ(cell_count(spec), 12u);
-  // Innermost factor (cluster size) varies fastest.
-  EXPECT_EQ(cells[0].cluster_size, 1);
-  EXPECT_EQ(cells[1].cluster_size, 2);
-  EXPECT_EQ(cells[2].cluster_size, 4);
-  EXPECT_EQ(cells[0].gpu, cloud::GpuType::kK80);
-  EXPECT_EQ(cells[3].gpu, cloud::GpuType::kV100);
-  EXPECT_EQ(cells[0].region, cloud::Region::kUsEast1);
-  EXPECT_EQ(cells[6].region, cloud::Region::kUsWest1);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(cells[i].index, i);
+/// Every aggregate, each value in exact hex-float form, so two runs
+/// compare bit for bit.
+std::string aggregate_dump(const GridResult& result) {
+  std::string out;
+  char number[32];
+  const auto put = [&](double value) {
+    std::snprintf(number, sizeof number, " %a", value);
+    out += number;
+  };
+  for (std::size_t c = 0; c < result.aggregates.size(); ++c) {
+    const CellAggregate& agg = result.aggregates[c];
+    out += "cell " + std::to_string(c) + " ok " +
+           std::to_string(agg.replicas_ok) + " failed " +
+           std::to_string(agg.replicas_failed) + "\n";
+    for (const auto& [metric, m] : agg.metrics) {
+      out += metric;
+      for (const double v : {m.running.mean(), m.running.stddev(),
+                             m.running.min(), m.running.max()}) {
+        put(v);
+      }
+      for (const double v : m.values) put(v);
+      out += "\n";
+    }
   }
+  return out;
 }
 
-TEST(CampaignSpec, ExpandRejectsEmptyFactorsAndBadReplicaCounts) {
-  CampaignSpec spec;
-  spec.regions.clear();
-  EXPECT_THROW(expand(spec), std::invalid_argument);
-  spec = CampaignSpec{};
-  spec.replicas = 0;
-  EXPECT_THROW(expand(spec), std::invalid_argument);
+TEST(Campaign, RunGridRejectsEmptyGridsAndBadReplicaCounts) {
+  EXPECT_THROW(run_grid(kCells, 1, kSeed, {}), std::invalid_argument);
+  EXPECT_THROW(run_grid(0, 1, kSeed, arithmetic_replica),
+               std::invalid_argument);
+  EXPECT_THROW(run_grid(kCells, 0, kSeed, arithmetic_replica),
+               std::invalid_argument);
 }
 
 TEST(Campaign, ReplicaSeedsFollowTheForkChain) {
-  CampaignSpec spec = small_spec();
-  spec.replicas = 3;
   RunOptions options;
   options.jobs = 1;
-  const CampaignResult result =
-      run_campaign(spec, arithmetic_replica, options);
+  const GridResult result = run_test_grid(arithmetic_replica, options, 3);
 
-  const util::Rng root(spec.seed);
-  for (std::size_t c = 0; c < result.cells.size(); ++c) {
+  const util::Rng root(kSeed);
+  for (std::size_t c = 0; c < result.aggregates.size(); ++c) {
     const auto& firsts = result.aggregates[c].metrics.at("first_uniform");
     ASSERT_EQ(firsts.values.size(), 3u);
     for (int r = 0; r < 3; ++r) {
@@ -112,51 +107,46 @@ TEST(Campaign, ReplicaSeedsFollowTheForkChain) {
 }
 
 TEST(Campaign, AggregateCsvIsByteIdenticalAcrossJobCounts) {
-  const CampaignSpec spec = small_spec();  // 4 cells x 64 replicas
-  std::vector<std::string> csvs;
+  std::vector<std::string> dumps;  // 4 cells x 64 replicas each
   for (const int jobs : {1, 4, hardware_jobs()}) {
     RunOptions options;
     options.jobs = jobs;
-    csvs.push_back(aggregate_csv(run_campaign(spec, arithmetic_replica,
-                                              options)));
+    dumps.push_back(aggregate_dump(run_test_grid(arithmetic_replica,
+                                                 options)));
   }
-  EXPECT_EQ(csvs[0], csvs[1]) << "--jobs 1 vs --jobs 4";
-  EXPECT_EQ(csvs[0], csvs[2]) << "--jobs 1 vs --jobs hardware_concurrency";
-  EXPECT_NE(csvs[0].find("test,"), std::string::npos);
+  EXPECT_EQ(dumps[0], dumps[1]) << "--jobs 1 vs --jobs 4";
+  EXPECT_EQ(dumps[0], dumps[2]) << "--jobs 1 vs --jobs hardware_concurrency";
+  EXPECT_NE(dumps[0].find("acc "), std::string::npos);
 }
 
 TEST(Campaign, SameSeedSameResultDifferentSeedDifferentResult) {
-  CampaignSpec spec = small_spec();
   RunOptions options;
   options.jobs = 2;
-  const std::string a = aggregate_csv(run_campaign(spec, arithmetic_replica,
-                                                   options));
-  const std::string b = aggregate_csv(run_campaign(spec, arithmetic_replica,
-                                                   options));
+  const std::string a =
+      aggregate_dump(run_test_grid(arithmetic_replica, options));
+  const std::string b =
+      aggregate_dump(run_test_grid(arithmetic_replica, options));
   EXPECT_EQ(a, b);
-  spec.seed += 1;
-  const std::string c = aggregate_csv(run_campaign(spec, arithmetic_replica,
-                                                   options));
+  const std::string c = aggregate_dump(
+      run_test_grid(arithmetic_replica, options, kReplicas, kSeed + 1));
   EXPECT_NE(a, c);
 }
 
 TEST(Campaign, ThrowingReplicasAreIsolatedAndRecorded) {
-  CampaignSpec spec = small_spec();
-  spec.replicas = 8;
-  const ReplicaFn replica = [](ReplicaContext& context) -> ReplicaResult {
-    if (context.cell.index == 1 && (context.replica == 2 ||
-                                    context.replica == 5)) {
+  const GridReplicaFn replica = [](std::size_t cell, int r, util::Rng& rng,
+                                   obs::Telemetry* telemetry) {
+    if (cell == 1 && (r == 2 || r == 5)) {
       throw std::runtime_error("synthetic replica crash");
     }
-    return arithmetic_replica(context);
+    return arithmetic_replica(cell, r, rng, telemetry);
   };
 
-  std::vector<std::string> csvs;
+  std::vector<std::string> dumps;
   for (const int jobs : {1, 4}) {
     RunOptions options;
     options.jobs = jobs;
-    const CampaignResult result = run_campaign(spec, replica, options);
-    EXPECT_EQ(result.total_failures(), 2u);
+    const GridResult result = run_test_grid(replica, options, 8);
+    EXPECT_EQ(result.progress.replicas_failed, 2u);
     const CellAggregate& crashed = result.aggregates[1];
     EXPECT_EQ(crashed.replicas_failed, 2);
     EXPECT_EQ(crashed.replicas_ok, 6);
@@ -168,14 +158,13 @@ TEST(Campaign, ThrowingReplicasAreIsolatedAndRecorded) {
     EXPECT_EQ(crashed.metrics.at("first_uniform").values.size(), 6u);
     // Untouched cells are complete.
     EXPECT_EQ(result.aggregates[0].replicas_ok, 8);
-    csvs.push_back(aggregate_csv(result));
+    dumps.push_back(aggregate_dump(result));
   }
-  EXPECT_EQ(csvs[0], csvs[1]) << "failures must not break determinism";
+  EXPECT_EQ(dumps[0], dumps[1]) << "failures must not break determinism";
 }
 
 TEST(Campaign, ProgressIsSerializedMonotonicAndComplete) {
-  const CampaignSpec spec = small_spec();  // 256 replicas
-  RunOptions options;
+  RunOptions options;  // 256 replicas
   options.jobs = 4;
   std::size_t calls = 0;
   std::size_t last_done = 0;
@@ -188,8 +177,7 @@ TEST(Campaign, ProgressIsSerializedMonotonicAndComplete) {
     EXPECT_LE(p.cells_done, p.cells_total);
     final = p;
   };
-  const CampaignResult result = run_campaign(spec, arithmetic_replica,
-                                             options);
+  const GridResult result = run_test_grid(arithmetic_replica, options);
   EXPECT_EQ(calls, result.progress.replicas_total);
   EXPECT_EQ(final.replicas_done, final.replicas_total);
   EXPECT_EQ(final.cells_done, final.cells_total);
@@ -197,23 +185,22 @@ TEST(Campaign, ProgressIsSerializedMonotonicAndComplete) {
 }
 
 TEST(Campaign, CapturedTelemetryMergesDeterministically) {
-  CampaignSpec spec = small_spec();
-  spec.replicas = 4;
-  const ReplicaFn replica = [](ReplicaContext& context) -> ReplicaResult {
+  const GridReplicaFn replica = [](std::size_t, int, util::Rng& rng,
+                                   obs::Telemetry* telemetry) {
     // Instrumented code inside a replica sees the per-replica bundle as
     // the thread's active telemetry.
-    EXPECT_EQ(obs::telemetry(), context.telemetry);
+    EXPECT_EQ(obs::telemetry(), telemetry);
     obs::registry()->counter("replica.work").inc();
     obs::tracer()->complete(obs::tracer()->track("replica"), "work", "exp",
                             0.0, 1.0);
     ReplicaResult result;
-    result.observe("x", context.rng.uniform());
+    result.observe("x", rng.uniform());
     return result;
   };
   RunOptions options;
   options.jobs = 4;
   options.capture_telemetry = true;
-  const CampaignResult result = run_campaign(spec, replica, options);
+  const GridResult result = run_test_grid(replica, options, 4);
   ASSERT_NE(result.telemetry, nullptr);
   EXPECT_DOUBLE_EQ(result.telemetry->registry.counter("replica.work").value(),
                    static_cast<double>(result.progress.replicas_total));
@@ -223,23 +210,6 @@ TEST(Campaign, CapturedTelemetryMergesDeterministically) {
   const auto& tracks = result.telemetry->tracer.track_names();
   EXPECT_NE(std::find(tracks.begin(), tracks.end(), "cell0/replica0/replica"),
             tracks.end());
-}
-
-TEST(Campaign, RecordsSummaryMetricsIntoCallersRegistry) {
-  obs::ScopedTelemetry telemetry;
-  CampaignSpec spec = small_spec();
-  spec.replicas = 2;
-  RunOptions options;
-  options.jobs = 2;
-  (void)run_campaign(spec, arithmetic_replica, options);
-  const obs::LabelSet labels = {{"campaign", "test"}};
-  EXPECT_DOUBLE_EQ(
-      telemetry->registry.counter("exp.campaign.replicas_total", labels)
-          .value(),
-      8.0);
-  EXPECT_DOUBLE_EQ(
-      telemetry->registry.counter("exp.campaign.cells_total", labels).value(),
-      4.0);
 }
 
 // --- Crash-resumable campaign journal (exp/journal.hpp) ---
@@ -274,14 +244,15 @@ std::string journal_prefix(const std::string& text, std::size_t entries) {
 
 /// arithmetic_replica plus one ledger event, so resume tests cover the
 /// merged-ledger half of the byte-identity contract too.
-ReplicaResult ledgered_replica(ReplicaContext& context) {
-  ReplicaResult result = arithmetic_replica(context);
+ReplicaResult ledgered_replica(std::size_t cell, int replica, util::Rng& rng,
+                               obs::Telemetry* telemetry) {
+  ReplicaResult result = arithmetic_replica(cell, replica, rng, telemetry);
   if (obs::Ledger* ledger = obs::ledger()) {
     obs::LedgerEvent event;
     event.kind = obs::LedgerEventKind::kUpload;
-    event.at = static_cast<double>(context.replica) + 0.5;
+    event.at = static_cast<double>(replica) + 0.5;
     event.source = "test";
-    event.step = static_cast<long>(context.cell.index);
+    event.step = static_cast<long>(cell);
     event.detail = {{"bytes", "123"}};
     ledger->record(std::move(event));
   }
@@ -379,35 +350,31 @@ TEST(CampaignJournal, TornFinalLineDropsButEarlierCorruptionThrows) {
 }
 
 TEST(CampaignJournal, ResumeRefusesAMismatchedHeader) {
-  CampaignSpec spec = small_spec();
-  spec.replicas = 2;
   RunOptions options;
   options.jobs = 1;
   options.journal_path = journal_path_for("mismatch");
-  (void)run_campaign(spec, arithmetic_replica, options);
+  (void)run_test_grid(arithmetic_replica, options, 2);
 
   options.resume = true;
-  spec.seed += 1;  // same grid, different seed: a different campaign
-  EXPECT_THROW(run_campaign(spec, arithmetic_replica, options),
+  // Same grid, different seed: a different campaign.
+  EXPECT_THROW(run_test_grid(arithmetic_replica, options, 2, kSeed + 1),
                std::invalid_argument);
-  spec.seed -= 1;
   options.capture_telemetry = true;  // telemetry flag is part of identity
-  EXPECT_THROW(run_campaign(spec, arithmetic_replica, options),
+  EXPECT_THROW(run_test_grid(arithmetic_replica, options, 2),
                std::invalid_argument);
 }
 
 TEST(CampaignJournal, ResumedRunIsByteIdenticalAndSkipsJournaledReplicas) {
-  CampaignSpec spec = small_spec();
-  spec.replicas = 3;  // 4 cells x 3 replicas = 12
+  const int replicas = 3;  // 4 cells x 3 replicas = 12
 
   // Reference: one uninterrupted recorded run.
   RunOptions record;
   record.jobs = 1;
   record.capture_telemetry = true;
   record.journal_path = journal_path_for("reference");
-  const CampaignResult reference =
-      run_campaign(spec, ledgered_replica, record);
-  const std::string ref_csv = aggregate_csv(reference);
+  const GridResult reference =
+      run_test_grid(ledgered_replica, record, replicas);
+  const std::string ref_dump = aggregate_dump(reference);
   std::ostringstream ref_ledger_out;
   obs::write_ledger_jsonl(reference.telemetry->ledger, ref_ledger_out);
   const std::string ref_ledger = ref_ledger_out.str();
@@ -427,16 +394,18 @@ TEST(CampaignJournal, ResumedRunIsByteIdenticalAndSkipsJournaledReplicas) {
     resume.resume = true;
 
     std::atomic<int> calls{0};
-    const ReplicaFn counting = [&calls](ReplicaContext& context) {
+    const GridReplicaFn counting = [&calls](std::size_t cell, int replica,
+                                            util::Rng& rng,
+                                            obs::Telemetry* telemetry) {
       calls.fetch_add(1);
-      return ledgered_replica(context);
+      return ledgered_replica(cell, replica, rng, telemetry);
     };
-    const CampaignResult resumed = run_campaign(spec, counting, resume);
+    const GridResult resumed = run_test_grid(counting, resume, replicas);
 
     // Journaled replicas replay from disk; only the missing 7 run.
     EXPECT_EQ(calls.load(), 7) << "--jobs " << jobs;
     EXPECT_EQ(resumed.progress.replicas_done, 12u);
-    EXPECT_EQ(aggregate_csv(resumed), ref_csv) << "--jobs " << jobs;
+    EXPECT_EQ(aggregate_dump(resumed), ref_dump) << "--jobs " << jobs;
     ASSERT_NE(resumed.telemetry, nullptr);
     std::ostringstream ledger_out;
     obs::write_ledger_jsonl(resumed.telemetry->ledger, ledger_out);
@@ -456,8 +425,8 @@ TEST(CampaignJournal, ResumedRunIsByteIdenticalAndSkipsJournaledReplicas) {
   fresh.journal_path = journal_path_for("fresh_resume");
   std::remove(fresh.journal_path.c_str());
   fresh.resume = true;
-  const CampaignResult scratch = run_campaign(spec, ledgered_replica, fresh);
-  EXPECT_EQ(aggregate_csv(scratch), ref_csv);
+  const GridResult scratch = run_test_grid(ledgered_replica, fresh, replicas);
+  EXPECT_EQ(aggregate_dump(scratch), ref_dump);
   EXPECT_EQ(read_file(fresh.journal_path), full_journal);
 }
 

@@ -10,42 +10,42 @@
 namespace cmdare::scenario {
 namespace {
 
-exp::CampaignSpec shrunk_spec() {
-  // The catalog spec with a test-sized budget: 2 fault rates x 2
+ScenarioSweep shrunk_sweep() {
+  // The catalog sweep with a test-sized budget: 2 fault rates x 2
   // replicas, short runs.
-  exp::CampaignSpec spec = campaign_by_name("resilience").spec;
-  spec.replicas = 2;
-  spec.fault_rates = {0.0, 0.2};
-  spec.params["steps"] = 200.0;
-  spec.params["checkpoint_interval_steps"] = 50.0;
-  return spec;
+  ScenarioSweep sweep = sweep_by_name("resilience").sweep;
+  sweep.replicas = 2;
+  sweep.axes = {{"fault_rate", {"0", "0.2"}}};
+  sweep.base.max_steps = 200;
+  sweep.base.checkpoint_interval_steps = 50;
+  return sweep;
+}
+
+ScenarioCampaignResult run_shrunk(int jobs) {
+  exp::RunOptions options;
+  options.jobs = jobs;
+  return run_scenario_campaign(shrunk_sweep(), options,
+                               sweep_by_name("resilience").replica);
 }
 
 TEST(ResilienceCampaign, InCatalogWithFaultRateGrid) {
-  const NamedCampaign& campaign = campaign_by_name("resilience");
-  EXPECT_EQ(campaign.spec.fault_rates.size(), 4u);
-  EXPECT_EQ(exp::cell_count(campaign.spec), 4u);
-  const auto cells = exp::expand(campaign.spec);
-  EXPECT_DOUBLE_EQ(cells.front().fault_rate, 0.0);
-  EXPECT_DOUBLE_EQ(cells.back().fault_rate, 0.2);
-  // Fault-free cells keep the historical label; faulty ones are marked.
-  EXPECT_EQ(cells.front().label(), "us-central1/K80/resnet-15/w2/h9");
-  EXPECT_EQ(cells.back().label(), "us-central1/K80/resnet-15/w2/h9/f0.20");
+  const NamedScenarioSweep& campaign = sweep_by_name("resilience");
+  ASSERT_EQ(campaign.sweep.axes.size(), 1u);
+  EXPECT_EQ(campaign.sweep.axes[0].values.size(), 4u);
+  const auto cells = expand(campaign.sweep);
+  EXPECT_EQ(cells.size(), 4u);
+  EXPECT_DOUBLE_EQ(cells.front().spec.faults.launch_error_rate, 0.0);
+  EXPECT_DOUBLE_EQ(cells.back().spec.faults.launch_error_rate, 0.2);
+  // Cells are labelled by their axis setting.
+  EXPECT_EQ(cells.front().label(), "fault_rate=0");
+  EXPECT_EQ(cells.back().label(), "fault_rate=0.2");
 }
 
 TEST(ResilienceCampaign, CsvByteIdenticalAcrossJobCounts) {
-  const exp::CampaignSpec spec = shrunk_spec();
-  const exp::ReplicaFn replica = campaign_by_name("resilience").replica;
-
-  exp::RunOptions serial;
-  serial.jobs = 1;
-  exp::RunOptions parallel;
-  parallel.jobs = 4;
-
   std::ostringstream csv_serial;
-  exp::run_campaign(spec, replica, serial).write_csv(csv_serial);
+  run_shrunk(1).write_csv(csv_serial);
   std::ostringstream csv_parallel;
-  exp::run_campaign(spec, replica, parallel).write_csv(csv_parallel);
+  run_shrunk(4).write_csv(csv_parallel);
 
   EXPECT_FALSE(csv_serial.str().empty());
   EXPECT_EQ(csv_serial.str(), csv_parallel.str());
@@ -53,14 +53,10 @@ TEST(ResilienceCampaign, CsvByteIdenticalAcrossJobCounts) {
 }
 
 TEST(ResilienceCampaign, FaultyCellsDegradeGracefully) {
-  const exp::CampaignSpec spec = shrunk_spec();
-  const exp::ReplicaFn replica = campaign_by_name("resilience").replica;
-  exp::RunOptions options;
-  options.jobs = 2;
-  const exp::CampaignResult result = exp::run_campaign(spec, replica, options);
+  const ScenarioCampaignResult result = run_shrunk(2);
 
   ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_EQ(result.total_failures(), 0u);  // no replica threw
+  EXPECT_EQ(result.progress.replicas_failed, 0u);  // no replica threw
 
   const exp::CellAggregate& clean = result.aggregates[0];
   const exp::CellAggregate& faulty = result.aggregates[1];

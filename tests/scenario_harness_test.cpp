@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/ledger.hpp"
 #include "scenario/catalog.hpp"
@@ -205,69 +207,90 @@ TEST(SimHarness, TelemetryToggleInstallsABundle) {
 
 // --- campaign byte-identity against pre-refactor golden CSVs ----------
 
+// Every column from `metric` on was captured before the scenario layer
+// existed; the cell-prefix columns are the sweep's axis values.
+
 constexpr const char* kResilienceGoldenCsv =
-    "campaign,cell,region,gpu,model,cluster_size,launch_hour,fault_rate,"
+    "campaign,cell,fault_rate,"
     "metric,replicas_ok,replicas_failed,count,mean,sd,cov,min,p10,p50,p90,"
     "max\n"
-    "resilience,0,us-central1,K80,resnet-15,2,9,0.00,abrupt_kills,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
-    "resilience,0,us-central1,K80,resnet-15,2,9,0.00,checkpoints,2,0,2,3.000000,0.000000,0.000000,3.000000,3.000000,3.000000,3.000000,3.000000\n"
-    "resilience,0,us-central1,K80,resnet-15,2,9,0.00,completed,2,0,2,1.000000,0.000000,0.000000,1.000000,1.000000,1.000000,1.000000,1.000000\n"
-    "resilience,0,us-central1,K80,resnet-15,2,9,0.00,cost_usd,2,0,2,0.016091,0.000343,0.021322,0.015848,0.015897,0.016091,0.016285,0.016334\n"
-    "resilience,0,us-central1,K80,resnet-15,2,9,0.00,fallbacks,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
-    "resilience,0,us-central1,K80,resnet-15,2,9,0.00,faults_injected,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
-    "resilience,0,us-central1,K80,resnet-15,2,9,0.00,launch_retries,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
-    "resilience,0,us-central1,K80,resnet-15,2,9,0.00,makespan_s,2,0,2,171.766649,3.422155,0.019923,169.346819,169.830785,171.766649,173.702512,174.186478\n"
-    "resilience,0,us-central1,K80,resnet-15,2,9,0.00,revocations,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
-    "resilience,0,us-central1,K80,resnet-15,2,9,0.00,slots_abandoned,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
-    "resilience,1,us-central1,K80,resnet-15,2,9,0.20,abrupt_kills,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
-    "resilience,1,us-central1,K80,resnet-15,2,9,0.20,checkpoints,2,0,2,3.000000,0.000000,0.000000,3.000000,3.000000,3.000000,3.000000,3.000000\n"
-    "resilience,1,us-central1,K80,resnet-15,2,9,0.20,completed,2,0,2,1.000000,0.000000,0.000000,1.000000,1.000000,1.000000,1.000000,1.000000\n"
-    "resilience,1,us-central1,K80,resnet-15,2,9,0.20,cost_usd,2,0,2,0.015807,0.000176,0.011161,0.015683,0.015708,0.015807,0.015907,0.015932\n"
-    "resilience,1,us-central1,K80,resnet-15,2,9,0.20,fallbacks,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
-    "resilience,1,us-central1,K80,resnet-15,2,9,0.20,faults_injected,2,0,2,2.000000,1.414214,0.707107,1.000000,1.200000,2.000000,2.800000,3.000000\n"
-    "resilience,1,us-central1,K80,resnet-15,2,9,0.20,launch_retries,2,0,2,0.500000,0.707107,1.414214,0.000000,0.100000,0.500000,0.900000,1.000000\n"
-    "resilience,1,us-central1,K80,resnet-15,2,9,0.20,makespan_s,2,0,2,170.372009,2.965156,0.017404,168.275328,168.694664,170.372009,172.049355,172.468691\n"
-    "resilience,1,us-central1,K80,resnet-15,2,9,0.20,revocations,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
-    "resilience,1,us-central1,K80,resnet-15,2,9,0.20,slots_abandoned,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n";
+    "resilience,0,0,abrupt_kills,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
+    "resilience,0,0,checkpoints,2,0,2,3.000000,0.000000,0.000000,3.000000,3.000000,3.000000,3.000000,3.000000\n"
+    "resilience,0,0,completed,2,0,2,1.000000,0.000000,0.000000,1.000000,1.000000,1.000000,1.000000,1.000000\n"
+    "resilience,0,0,cost_usd,2,0,2,0.016091,0.000343,0.021322,0.015848,0.015897,0.016091,0.016285,0.016334\n"
+    "resilience,0,0,fallbacks,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
+    "resilience,0,0,faults_injected,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
+    "resilience,0,0,launch_retries,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
+    "resilience,0,0,makespan_s,2,0,2,171.766649,3.422155,0.019923,169.346819,169.830785,171.766649,173.702512,174.186478\n"
+    "resilience,0,0,revocations,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
+    "resilience,0,0,slots_abandoned,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
+    "resilience,1,0.2,abrupt_kills,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
+    "resilience,1,0.2,checkpoints,2,0,2,3.000000,0.000000,0.000000,3.000000,3.000000,3.000000,3.000000,3.000000\n"
+    "resilience,1,0.2,completed,2,0,2,1.000000,0.000000,0.000000,1.000000,1.000000,1.000000,1.000000,1.000000\n"
+    "resilience,1,0.2,cost_usd,2,0,2,0.015807,0.000176,0.011161,0.015683,0.015708,0.015807,0.015907,0.015932\n"
+    "resilience,1,0.2,fallbacks,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
+    "resilience,1,0.2,faults_injected,2,0,2,2.000000,1.414214,0.707107,1.000000,1.200000,2.000000,2.800000,3.000000\n"
+    "resilience,1,0.2,launch_retries,2,0,2,0.500000,0.707107,1.414214,0.000000,0.100000,0.500000,0.900000,1.000000\n"
+    "resilience,1,0.2,makespan_s,2,0,2,170.372009,2.965156,0.017404,168.275328,168.694664,170.372009,172.049355,172.468691\n"
+    "resilience,1,0.2,revocations,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n"
+    "resilience,1,0.2,slots_abandoned,2,0,2,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,0.000000\n";
 
 constexpr const char* kSpeedGoldenCsv =
-    "campaign,cell,region,gpu,model,cluster_size,launch_hour,fault_rate,"
+    "campaign,cell,workers,"
     "metric,replicas_ok,replicas_failed,count,mean,sd,cov,min,p10,p50,p90,"
     "max\n"
-    "speed,0,us-central1,K80,resnet-15,1,9,0.00,step_ms,2,0,2,106.661230,0.608365,0.005704,106.231051,106.317086,106.661230,107.005373,107.091409\n"
-    "speed,0,us-central1,K80,resnet-15,1,9,0.00,steps_per_s,2,0,2,9.371635,0.051786,0.005526,9.335017,9.342340,9.371635,9.400930,9.408253\n"
-    "speed,1,us-central1,K80,resnet-15,4,9,0.00,step_ms,2,0,1,109.369569,0.000000,0.000000,109.369569,109.369569,109.369569,109.369569,109.369569\n"
-    "speed,1,us-central1,K80,resnet-15,4,9,0.00,steps_per_s,2,0,2,29.501167,0.062684,0.002125,29.456843,29.465708,29.501167,29.536627,29.545492\n";
+    "speed,0,1 x K80 @ us-central1,step_ms,2,0,2,106.661230,0.608365,0.005704,106.231051,106.317086,106.661230,107.005373,107.091409\n"
+    "speed,0,1 x K80 @ us-central1,steps_per_s,2,0,2,9.371635,0.051786,0.005526,9.335017,9.342340,9.371635,9.400930,9.408253\n"
+    "speed,1,4 x K80 @ us-central1,step_ms,2,0,1,109.369569,0.000000,0.000000,109.369569,109.369569,109.369569,109.369569,109.369569\n"
+    "speed,1,4 x K80 @ us-central1,steps_per_s,2,0,2,29.501167,0.062684,0.002125,29.456843,29.465708,29.501167,29.536627,29.545492\n";
 
-std::string campaign_csv(const exp::CampaignSpec& spec,
-                         const exp::ReplicaFn& replica, int jobs) {
+std::string campaign_csv(const char* name, const ScenarioSweep& sweep,
+                         int jobs) {
   exp::RunOptions options;
   options.jobs = jobs;
   std::ostringstream out;
-  exp::run_campaign(spec, replica, options).write_csv(out);
+  run_scenario_campaign(sweep, options, sweep_by_name(name).replica)
+      .write_csv(out);
   return out.str();
 }
 
 TEST(ScenarioCatalog, ResilienceCampaignMatchesPreRefactorCsvAtAnyJobs) {
-  exp::CampaignSpec spec = campaign_by_name("resilience").spec;
-  spec.replicas = 2;
-  spec.fault_rates = {0.0, 0.2};
-  spec.params["steps"] = 200.0;
-  spec.params["checkpoint_interval_steps"] = 50.0;
-  const exp::ReplicaFn replica = campaign_by_name("resilience").replica;
-  EXPECT_EQ(campaign_csv(spec, replica, 1), kResilienceGoldenCsv);
-  EXPECT_EQ(campaign_csv(spec, replica, 4), kResilienceGoldenCsv);
+  ScenarioSweep sweep = sweep_by_name("resilience").sweep;
+  sweep.replicas = 2;
+  sweep.axes = {{"fault_rate", {"0", "0.2"}}};
+  sweep.base.max_steps = 200;
+  sweep.base.checkpoint_interval_steps = 50;
+  EXPECT_EQ(campaign_csv("resilience", sweep, 1), kResilienceGoldenCsv);
+  EXPECT_EQ(campaign_csv("resilience", sweep, 4), kResilienceGoldenCsv);
 }
 
 TEST(ScenarioCatalog, SpeedCampaignMatchesPreRefactorCsvAtAnyJobs) {
-  exp::CampaignSpec spec = campaign_by_name("speed").spec;
-  spec.replicas = 2;
-  spec.gpus = {cloud::GpuType::kK80};
-  spec.models = {"resnet-15"};
-  spec.params["steps"] = 300.0;
-  const exp::ReplicaFn replica = campaign_by_name("speed").replica;
-  EXPECT_EQ(campaign_csv(spec, replica, 1), kSpeedGoldenCsv);
-  EXPECT_EQ(campaign_csv(spec, replica, 4), kSpeedGoldenCsv);
+  ScenarioSweep sweep = sweep_by_name("speed").sweep;
+  sweep.replicas = 2;
+  sweep.axes = {
+      {"workers", {"1 x K80 @ us-central1", "4 x K80 @ us-central1"}}};
+  sweep.base.max_steps = 300;
+  EXPECT_EQ(campaign_csv("speed", sweep, 1), kSpeedGoldenCsv);
+  EXPECT_EQ(campaign_csv("speed", sweep, 4), kSpeedGoldenCsv);
+}
+
+TEST(ScenarioCatalog, EverySweepExpandsToRoundTrippingCells) {
+  std::set<std::string> names;
+  std::size_t cells = 0;
+  for (const NamedScenarioSweep& named : named_sweeps()) {
+    EXPECT_TRUE(names.insert(named.name).second) << "duplicate " << named.name;
+    EXPECT_EQ(named.name, named.sweep.name);
+    std::vector<ScenarioCell> expanded;
+    ASSERT_NO_THROW(expanded = expand(named.sweep)) << named.name;
+    for (const ScenarioCell& cell : expanded) {
+      const ParseResult parsed = parse(serialize(cell.spec));
+      EXPECT_TRUE(parsed.ok()) << named.name << " " << cell.label();
+      EXPECT_EQ(parsed.spec, cell.spec) << named.name << " " << cell.label();
+    }
+    cells += expanded.size();
+  }
+  EXPECT_EQ(names.size(), 8u);
+  EXPECT_EQ(cells, 170u);
 }
 
 TEST(ScenarioCampaign, SweepCsvByteIdenticalAcrossJobCounts) {
@@ -295,6 +318,28 @@ TEST(ScenarioCampaign, SweepCsvByteIdenticalAcrossJobCounts) {
   // Axis values appear as CSV columns.
   EXPECT_NE(serial.find("max_steps"), std::string::npos);
   EXPECT_NE(serial.find("resnet-32"), std::string::npos);
+}
+
+TEST(ScenarioCampaign, RecordsSummaryMetricsIntoCallersRegistry) {
+  obs::ScopedTelemetry telemetry;
+  ScenarioSweep sweep;
+  sweep.name = "summary";
+  sweep.base.kind = HarnessKind::kSession;
+  sweep.base.workers = {
+      {1, cloud::GpuType::kK80, cloud::Region::kUsCentral1, true}};
+  sweep.base.max_steps = 20;
+  sweep.axes = {{"max_steps", {"20", "40"}}};
+  sweep.replicas = 3;
+  exp::RunOptions options;
+  options.jobs = 2;
+  (void)run_scenario_campaign(sweep, options);
+  const obs::LabelSet labels = {{"campaign", "summary"}};
+  const auto counter = [&](const char* name) {
+    return telemetry->registry.counter(name, labels).value();
+  };
+  EXPECT_DOUBLE_EQ(counter("scenario.campaign.replicas_total"), 6.0);
+  EXPECT_DOUBLE_EQ(counter("scenario.campaign.replicas_failed"), 0.0);
+  EXPECT_DOUBLE_EQ(counter("scenario.campaign.cells_total"), 2.0);
 }
 
 TEST(ScenarioCampaign, DefaultReplicaReportsStandardMetrics) {

@@ -257,6 +257,22 @@ TEST(ArgParser, Uint64RejectsNonNumbersAndNegatives) {
   EXPECT_EQ(seed, 18446744073709551615u);
 }
 
+TEST(ArgParser, IntBelowItsMinimumIsRejectedAndNotStored) {
+  int replicas = 0;  // an absent flag keeps its default, even below min
+  std::string error;
+  for (const char* bad : {"0", "-2"}) {
+    ArgParser args("prog", "test");
+    args.add_int("replicas", "N", "replicas", &replicas, 1);
+    EXPECT_FALSE(parse_args(args, {"--replicas", bad}, &error)) << bad;
+    EXPECT_NE(error.find("--replicas"), std::string::npos) << error;
+  }
+  EXPECT_EQ(replicas, 0);
+  ArgParser args("prog", "test");
+  args.add_int("replicas", "N", "replicas", &replicas, 1);
+  ASSERT_TRUE(parse_args(args, {"--replicas", "1"}, &error));
+  EXPECT_EQ(replicas, 1);
+}
+
 TEST(ArgParser, HelpStopsParsingAndListsOptions) {
   int jobs = 0;
   ArgParser args("prog", "does things");
