@@ -188,6 +188,12 @@ int main(int argc, char** argv) {
                  args.help_text().c_str());
     return 1;
   }
+  if (!csv_path.empty() && sweeps.empty()) {
+    std::fprintf(stderr,
+                 "error: --csv writes campaign aggregates and needs --sweep "
+                 "(a single run has none)\n");
+    return 1;
+  }
 
   std::ifstream in(path);
   if (!in) {

@@ -2,8 +2,9 @@
 # CI entry point: tier-1 (full build + full ctest), the fault/supervise/
 # obs/fleet/simcore/exp/ckpt/codec label suites rebuilt under
 # AddressSanitizer, and the concurrency-heavy tests (obs, campaign engine,
-# journal resume, catalog and resilience sweeps, supervised sweeps, fleet
-# campaigns) under ThreadSanitizer. The simcore label rides along in the ASan/UBSan stages
+# journal resume, catalog and resilience sweeps, generic scenario sweeps on
+# the shared default metric list, supervised sweeps, fleet campaigns)
+# under ThreadSanitizer. The simcore label rides along in the ASan/UBSan stages
 # because the event engine hands out arena slots with generation-checked
 # handles — lifetime bugs there are exactly what the sanitizers exist to
 # catch. The codec label (the spec parser plus the random-bytes
@@ -72,7 +73,7 @@ if $run_tsan; then
     -DCMDARE_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R '^(ObsConcurrency|ThreadPool|Campaign|ScenarioCatalog|ResilienceCampaign|CampaignJournal|HeartbeatDetector|HazardEstimator|AdaptiveCheckpointController|SupervisedRun|DetectionCampaign|FleetCampaign|StormCampaign)\.'
+    -R '^(ObsConcurrency|ThreadPool|Campaign|ScenarioCatalog|ScenarioCampaign|ResilienceCampaign|CampaignJournal|HeartbeatDetector|HazardEstimator|AdaptiveCheckpointController|SupervisedRun|DetectionCampaign|FleetCampaign|StormCampaign)\.'
 fi
 
 if $run_ubsan; then

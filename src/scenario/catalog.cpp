@@ -126,32 +126,6 @@ ScenarioSpec resilience_scenario() {
   return spec;
 }
 
-exp::ReplicaResult resilience_replica(const ScenarioCell& cell,
-                                      int /*replica*/, util::Rng& rng,
-                                      obs::Telemetry* /*telemetry*/) {
-  exp::ReplicaResult result;
-  const WorkerGroup& pool = cell.spec.workers.at(0);
-  if (!cloud::gpu_offered_in_region(pool.region, pool.gpu)) return result;
-
-  SimHarness harness(cell.spec, rng);
-  const ScenarioResult outcome = harness.run();
-
-  result.observe("completed", outcome.finished ? 1.0 : 0.0);
-  if (outcome.finished) result.observe("makespan_s", outcome.elapsed_seconds);
-  result.observe("cost_usd", outcome.cost_usd);
-  result.observe("launch_retries", static_cast<double>(outcome.launch_retries));
-  result.observe("fallbacks", static_cast<double>(outcome.fallbacks));
-  result.observe("slots_abandoned",
-                 static_cast<double>(outcome.slots_abandoned));
-  result.observe("revocations", static_cast<double>(outcome.revocations));
-  result.observe("abrupt_kills", static_cast<double>(outcome.abrupt_kills));
-  result.observe("checkpoints",
-                 static_cast<double>(outcome.checkpoint_blobs));
-  result.observe("faults_injected",
-                 static_cast<double>(outcome.faults_injected));
-  return result;
-}
-
 ScenarioSpec detection_scenario() {
   ScenarioSpec spec;
   spec.name = "detection";
@@ -173,34 +147,6 @@ ScenarioSpec detection_scenario() {
   return spec;
 }
 
-exp::ReplicaResult detection_replica(const ScenarioCell& cell,
-                                     int /*replica*/, util::Rng& rng,
-                                     obs::Telemetry* /*telemetry*/) {
-  SimHarness harness(cell.spec, rng);
-  const ScenarioResult outcome = harness.run();
-
-  exp::ReplicaResult result;
-  result.observe("finished", outcome.finished ? 1.0 : 0.0);
-  result.observe("steps", static_cast<double>(outcome.completed_steps));
-  result.observe("revocations", static_cast<double>(outcome.revocations));
-  result.observe("abrupt_kills", static_cast<double>(outcome.abrupt_kills));
-  result.observe("detections", static_cast<double>(outcome.detections));
-  result.observe("false_detections",
-                 static_cast<double>(outcome.false_detections));
-  if (outcome.detections > 0) {
-    result.observe("detection_latency_s", outcome.detection_latency_p99);
-    result.observe("detection_latency_p50_s", outcome.detection_latency_p50);
-    result.observe("detection_latency_mean_s", outcome.detection_latency_mean);
-  }
-  // Recovery spans revocation -> replacement running; for abrupt kills it
-  // includes the heartbeat detection latency, which is the quantity the
-  // timeout axis trades against false-positive risk.
-  if (outcome.mean_recovery_seconds > 0.0) {
-    result.observe("ttr_s", outcome.mean_recovery_seconds);
-  }
-  return result;
-}
-
 ScenarioSpec fleet_scenario() {
   ScenarioSpec spec;
   spec.name = "fleet";
@@ -220,30 +166,6 @@ ScenarioSpec fleet_scenario() {
   spec.fleet.capacity_per_pool = 24;
   spec.fleet.scheduler = fleet::SchedulerPolicy::kCostOptimal;
   return spec;
-}
-
-exp::ReplicaResult fleet_replica(const ScenarioCell& cell, int /*replica*/,
-                                 util::Rng& rng,
-                                 obs::Telemetry* /*telemetry*/) {
-  SimHarness harness(cell.spec, rng);
-  const ScenarioResult outcome = harness.run();
-
-  exp::ReplicaResult result;
-  result.observe("finished", outcome.finished ? 1.0 : 0.0);
-  result.observe("tenants_finished",
-                 static_cast<double>(outcome.tenants_finished));
-  result.observe("deadline_hit_rate", outcome.deadline_hit_rate);
-  result.observe("usd_per_kstep", outcome.usd_per_kstep);
-  result.observe("cost_usd", outcome.cost_usd);
-  result.observe("steps", static_cast<double>(outcome.completed_steps));
-  result.observe("placements", static_cast<double>(outcome.placements));
-  result.observe("evictions_reclaim",
-                 static_cast<double>(outcome.evictions_reclaim));
-  result.observe("evictions_priceout",
-                 static_cast<double>(outcome.evictions_priceout));
-  result.observe("evictions_total", static_cast<double>(outcome.revocations));
-  result.observe("migrations", static_cast<double>(outcome.migrations));
-  return result;
 }
 
 ScenarioSpec storm_scenario() {
@@ -291,45 +213,6 @@ ScenarioSpec storm_scenario() {
   spec.supervision.elastic.grow_hysteresis_s = 120.0;
   spec.supervision.elastic.futility_threshold = 0.5;
   return spec;
-}
-
-exp::ReplicaResult storm_replica(const ScenarioCell& cell, int /*replica*/,
-                                 util::Rng& rng,
-                                 obs::Telemetry* /*telemetry*/) {
-  SimHarness harness(cell.spec, rng);
-  const ScenarioResult outcome = harness.run();
-
-  exp::ReplicaResult result;
-  result.observe("finished", outcome.finished ? 1.0 : 0.0);
-  result.observe("steps", static_cast<double>(outcome.completed_steps));
-  // elapsed_seconds is the makespan when finished and the horizon
-  // otherwise, so it is directly the time-to-target objective (lower is
-  // better; unfinished runs saturate at the deadline).
-  result.observe("time_to_target_s", outcome.elapsed_seconds);
-  result.observe("cost_usd", outcome.cost_usd);
-  if (outcome.completed_steps > 0) {
-    result.observe("usd_per_kstep",
-                   1000.0 * outcome.cost_usd /
-                       static_cast<double>(outcome.completed_steps));
-  }
-  result.observe("revocations", static_cast<double>(outcome.revocations));
-  result.observe("outage_revocations",
-                 static_cast<double>(outcome.outage_revocations));
-  result.observe("outage_denials",
-                 static_cast<double>(outcome.outage_denials));
-  result.observe("launch_retries",
-                 static_cast<double>(outcome.launch_retries));
-  result.observe("slots_abandoned",
-                 static_cast<double>(outcome.slots_abandoned));
-  result.observe("elastic_shrinks",
-                 static_cast<double>(outcome.elastic_shrinks));
-  result.observe("elastic_grows",
-                 static_cast<double>(outcome.elastic_grows));
-  result.observe("breaker_opens",
-                 static_cast<double>(outcome.breaker_opens));
-  result.observe("breaker_transitions",
-                 static_cast<double>(outcome.breaker_transitions));
-  return result;
 }
 
 ScenarioSpec ckpt_scenario() {
@@ -385,34 +268,6 @@ ScenarioSpec ckpt_scenario() {
   spec.ckpt.max_delta_chain = 4;
   spec.ckpt.max_generations = 3;
   return spec;
-}
-
-exp::ReplicaResult ckpt_replica(const ScenarioCell& cell, int /*replica*/,
-                                util::Rng& rng,
-                                obs::Telemetry* /*telemetry*/) {
-  SimHarness harness(cell.spec, rng);
-  const ScenarioResult outcome = harness.run();
-
-  exp::ReplicaResult result;
-  result.observe("finished", outcome.finished ? 1.0 : 0.0);
-  result.observe("steps", static_cast<double>(outcome.completed_steps));
-  result.observe("cost_usd", outcome.cost_usd);
-  result.observe("restarts", static_cast<double>(outcome.restarts));
-  result.observe("revocations", static_cast<double>(outcome.revocations));
-  result.observe("ckpt_base_writes",
-                 static_cast<double>(outcome.ckpt_base_writes));
-  result.observe("ckpt_delta_writes",
-                 static_cast<double>(outcome.ckpt_delta_writes));
-  result.observe("ckpt_compactions",
-                 static_cast<double>(outcome.ckpt_compactions));
-  result.observe("ckpt_quarantines",
-                 static_cast<double>(outcome.ckpt_quarantines));
-  result.observe("ckpt_verified_restores",
-                 static_cast<double>(outcome.ckpt_verified_restores));
-  result.observe("ckpt_cold_restarts",
-                 static_cast<double>(outcome.ckpt_cold_restarts));
-  result.observe("ckpt_tier_cost_usd", outcome.ckpt_tier_cost_usd);
-  return result;
 }
 
 const std::vector<NamedScenarioSweep>& named_sweeps() {
@@ -483,7 +338,11 @@ const std::vector<NamedScenarioSweep>& named_sweeps() {
       s.sweep.axes = {{"fault_rate", {"0", "0.05", "0.1", "0.2"}}};
       s.sweep.replicas = 8;
       s.sweep.seed = 77;
-      s.replica = resilience_replica;
+      s.replica = result_replica(
+          {{"completed", "finished"}, {"makespan_s", "elapsed", "finished"},
+           {"cost_usd"}, {"launch_retries"}, {"fallbacks"},
+           {"slots_abandoned"}, {"revocations"}, {"abrupt_kills"},
+           {"checkpoints", "checkpoint_blobs"}, {"faults_injected"}});
       list.push_back(std::move(s));
     }
 
@@ -501,7 +360,17 @@ const std::vector<NamedScenarioSweep>& named_sweeps() {
       };
       s.sweep.replicas = 6;
       s.sweep.seed = 505;
-      s.replica = detection_replica;
+      // Recovery (ttr_s) spans revocation -> replacement running; for
+      // abrupt kills it includes the heartbeat detection latency, which
+      // the timeout axis trades against false-positive risk.
+      s.replica = result_replica(
+          {{"finished"}, {"steps", "completed_steps"}, {"revocations"},
+           {"abrupt_kills"}, {"detections"}, {"false_detections"},
+           {"detection_latency_s", "detection_latency_p99", "detections"},
+           {"detection_latency_p50_s", "detection_latency_p50", "detections"},
+           {"detection_latency_mean_s", "detection_latency_mean",
+            "detections"},
+           {"ttr_s", "mean_recovery_seconds", "mean_recovery_seconds"}});
       list.push_back(std::move(s));
     }
 
@@ -521,7 +390,11 @@ const std::vector<NamedScenarioSweep>& named_sweeps() {
       };
       s.sweep.replicas = 3;
       s.sweep.seed = 2020;
-      s.replica = fleet_replica;
+      s.replica = result_replica(
+          {{"finished"}, {"tenants_finished"}, {"deadline_hit_rate"},
+           {"usd_per_kstep"}, {"cost_usd"}, {"steps", "completed_steps"},
+           {"placements"}, {"evictions_reclaim"}, {"evictions_priceout"},
+           {"evictions_total", "revocations"}, {"migrations"}});
       list.push_back(std::move(s));
     }
 
@@ -542,7 +415,16 @@ const std::vector<NamedScenarioSweep>& named_sweeps() {
       };
       s.sweep.replicas = 3;
       s.sweep.seed = 909;
-      s.replica = storm_replica;
+      // elapsed is the makespan when finished and the horizon otherwise,
+      // so it is directly the time-to-target objective (lower is better;
+      // unfinished runs saturate at the deadline).
+      s.replica = result_replica(
+          {{"finished"}, {"steps", "completed_steps"},
+           {"time_to_target_s", "elapsed"}, {"cost_usd"},
+           {"usd_per_kstep", "usd_per_kstep", "completed_steps"},
+           {"revocations"}, {"outage_revocations"}, {"outage_denials"},
+           {"launch_retries"}, {"slots_abandoned"}, {"elastic_shrinks"},
+           {"elastic_grows"}, {"breaker_opens"}, {"breaker_transitions"}});
       list.push_back(std::move(s));
     }
 
@@ -561,7 +443,12 @@ const std::vector<NamedScenarioSweep>& named_sweeps() {
       };
       s.sweep.replicas = 4;
       s.sweep.seed = 1111;
-      s.replica = ckpt_replica;
+      s.replica = result_replica(
+          {{"finished"}, {"steps", "completed_steps"}, {"cost_usd"},
+           {"restarts"}, {"revocations"}, {"ckpt_base_writes"},
+           {"ckpt_delta_writes"}, {"ckpt_compactions"}, {"ckpt_quarantines"},
+           {"ckpt_verified_restores"}, {"ckpt_cold_restarts"},
+           {"ckpt_tier_cost_usd"}});
       list.push_back(std::move(s));
     }
 

@@ -37,76 +37,120 @@ std::vector<train::WorkerSpec> expand_workers(const ScenarioSpec& spec) {
   return workers;
 }
 
+// --- the result list -----------------------------------------------------
+
+/// Every ScenarioResult field, once, in table() order: the row's name, the
+/// field, and how table() prints it — a flag, a count, a duration, or a
+/// number with fixed decimals. section(active) opens a group of rows that
+/// table() prints only when `active`; rows() reads every row. table(),
+/// rows() and through rows() every campaign metric list read this list,
+/// so adding a field means adding one line here.
+template <typename Visitor>
+void visit_rows(const ScenarioResult& r, Visitor& v) {
+  v.flag("finished", r.finished);
+  v.count("completed_steps", r.completed_steps);
+  v.duration("elapsed", r.elapsed_seconds);
+  v.number("cost_usd", r.cost_usd, 4);
+  v.count("revocations", r.revocations);
+  v.count("replacements", r.replacements);
+  v.count("restarts", r.restarts);
+  v.count("launch_retries", r.launch_retries);
+  v.count("fallbacks", r.fallbacks);
+  v.count("slots_abandoned", r.slots_abandoned);
+  v.count("notices", r.notices);
+  v.count("abrupt_kills", r.abrupt_kills);
+  v.count("checkpoint_blobs", r.checkpoint_blobs);
+  v.count("last_checkpoint_step", r.last_checkpoint_step);
+  v.count("faults_injected", r.faults_injected);
+  v.count("detections", r.detections);
+  v.count("false_detections", r.false_detections);
+  v.number("detection_latency_p50", r.detection_latency_p50, 2);
+  v.number("detection_latency_p99", r.detection_latency_p99, 2);
+  v.number("detection_latency_mean", r.detection_latency_mean, 2);
+  v.count("interval_retunes", r.interval_retunes);
+  v.count("fenced_workers", r.fenced_workers);
+  v.count("hedges_cancelled", r.hedges_cancelled);
+  v.number("mean_recovery_seconds", r.mean_recovery_seconds, 2);
+  v.section(r.elastic_shrinks > 0 || r.elastic_grows > 0 ||
+            r.breaker_transitions > 0);
+  v.count("elastic_shrinks", r.elastic_shrinks);
+  v.count("elastic_grows", r.elastic_grows);
+  v.count("breaker_transitions", r.breaker_transitions);
+  v.count("breaker_opens", r.breaker_opens);
+  v.section(r.outage_revocations > 0 || r.outage_denials > 0);
+  v.count("outage_revocations", r.outage_revocations);
+  v.count("outage_denials", r.outage_denials);
+  v.section(r.ckpt_base_writes > 0 || r.ckpt_delta_writes > 0 ||
+            r.ckpt_quarantines > 0 || r.ckpt_cold_restarts > 0);
+  v.count("ckpt_base_writes", r.ckpt_base_writes);
+  v.count("ckpt_delta_writes", r.ckpt_delta_writes);
+  v.count("ckpt_compactions", r.ckpt_compactions);
+  v.count("ckpt_quarantines", r.ckpt_quarantines);
+  v.count("ckpt_verified_restores", r.ckpt_verified_restores);
+  v.count("ckpt_cold_restarts", r.ckpt_cold_restarts);
+  v.number("ckpt_tier_cost_usd", r.ckpt_tier_cost_usd, 4);
+  v.section(r.tenants > 0);
+  v.count("tenants", r.tenants);
+  v.count("tenants_finished", r.tenants_finished);
+  v.number("deadline_hit_rate", r.deadline_hit_rate, 3);
+  v.count("placements", r.placements);
+  v.count("evictions_reclaim", r.evictions_reclaim);
+  v.count("evictions_priceout", r.evictions_priceout);
+  v.count("migrations", r.migrations);
+  v.number("usd_per_kstep", r.usd_per_kstep, 4);
+}
+
+/// table(): one (name, text) row per row of an active section.
+struct TablePrinter {
+  util::Table& table;
+  bool active = true;
+
+  void add(std::string_view name, std::string text) {
+    if (active) table.add_row({std::string(name), std::move(text)});
+  }
+  void section(bool on) { active = on; }
+  void flag(std::string_view name, bool field) {
+    add(name, field ? "true" : "false");
+  }
+  template <typename T>
+  void count(std::string_view name, T field) {
+    add(name, std::to_string(field));
+  }
+  void duration(std::string_view name, double field) {
+    add(name, util::format_duration(field));
+  }
+  void number(std::string_view name, double field, int decimals) {
+    add(name, util::format_double(field, decimals));
+  }
+};
+
+/// rows(): every row as a double, whatever its section.
+struct RowCollector {
+  std::vector<ResultRow> rows;
+
+  void add(std::string_view name, double value) {
+    rows.emplace_back(name, value);
+  }
+  void section(bool) {}
+  void flag(std::string_view name, bool field) { add(name, field); }
+  void count(std::string_view name, double field) { add(name, field); }
+  void duration(std::string_view name, double field) { add(name, field); }
+  void number(std::string_view name, double field, int) { add(name, field); }
+};
+
 }  // namespace
 
 util::Table ScenarioResult::table() const {
   util::Table table({"field", "value"});
-  table.add_row({"finished", finished ? "true" : "false"});
-  table.add_row({"completed_steps", std::to_string(completed_steps)});
-  table.add_row({"elapsed", util::format_duration(elapsed_seconds)});
-  table.add_row({"cost_usd", util::format_double(cost_usd, 4)});
-  table.add_row({"revocations", std::to_string(revocations)});
-  table.add_row({"replacements", std::to_string(replacements)});
-  table.add_row({"restarts", std::to_string(restarts)});
-  table.add_row({"launch_retries", std::to_string(launch_retries)});
-  table.add_row({"fallbacks", std::to_string(fallbacks)});
-  table.add_row({"slots_abandoned", std::to_string(slots_abandoned)});
-  table.add_row({"notices", std::to_string(notices)});
-  table.add_row({"abrupt_kills", std::to_string(abrupt_kills)});
-  table.add_row({"checkpoint_blobs", std::to_string(checkpoint_blobs)});
-  table.add_row({"last_checkpoint_step", std::to_string(last_checkpoint_step)});
-  table.add_row({"faults_injected", std::to_string(faults_injected)});
-  table.add_row({"detections", std::to_string(detections)});
-  table.add_row({"false_detections", std::to_string(false_detections)});
-  table.add_row({"detection_latency_p50",
-                 util::format_double(detection_latency_p50, 2)});
-  table.add_row({"detection_latency_p99",
-                 util::format_double(detection_latency_p99, 2)});
-  table.add_row({"detection_latency_mean",
-                 util::format_double(detection_latency_mean, 2)});
-  table.add_row({"interval_retunes", std::to_string(interval_retunes)});
-  table.add_row({"fenced_workers", std::to_string(fenced_workers)});
-  table.add_row({"hedges_cancelled", std::to_string(hedges_cancelled)});
-  table.add_row({"mean_recovery_seconds",
-                 util::format_double(mean_recovery_seconds, 2)});
-  if (elastic_shrinks > 0 || elastic_grows > 0 || breaker_transitions > 0) {
-    table.add_row({"elastic_shrinks", std::to_string(elastic_shrinks)});
-    table.add_row({"elastic_grows", std::to_string(elastic_grows)});
-    table.add_row(
-        {"breaker_transitions", std::to_string(breaker_transitions)});
-    table.add_row({"breaker_opens", std::to_string(breaker_opens)});
-  }
-  if (outage_revocations > 0 || outage_denials > 0) {
-    table.add_row(
-        {"outage_revocations", std::to_string(outage_revocations)});
-    table.add_row({"outage_denials", std::to_string(outage_denials)});
-  }
-  if (ckpt_base_writes > 0 || ckpt_delta_writes > 0 ||
-      ckpt_quarantines > 0 || ckpt_cold_restarts > 0) {
-    table.add_row({"ckpt_base_writes", std::to_string(ckpt_base_writes)});
-    table.add_row({"ckpt_delta_writes", std::to_string(ckpt_delta_writes)});
-    table.add_row({"ckpt_compactions", std::to_string(ckpt_compactions)});
-    table.add_row({"ckpt_quarantines", std::to_string(ckpt_quarantines)});
-    table.add_row(
-        {"ckpt_verified_restores", std::to_string(ckpt_verified_restores)});
-    table.add_row(
-        {"ckpt_cold_restarts", std::to_string(ckpt_cold_restarts)});
-    table.add_row(
-        {"ckpt_tier_cost_usd", util::format_double(ckpt_tier_cost_usd, 4)});
-  }
-  if (tenants > 0) {
-    table.add_row({"tenants", std::to_string(tenants)});
-    table.add_row({"tenants_finished", std::to_string(tenants_finished)});
-    table.add_row(
-        {"deadline_hit_rate", util::format_double(deadline_hit_rate, 3)});
-    table.add_row({"placements", std::to_string(placements)});
-    table.add_row({"evictions_reclaim", std::to_string(evictions_reclaim)});
-    table.add_row(
-        {"evictions_priceout", std::to_string(evictions_priceout)});
-    table.add_row({"migrations", std::to_string(migrations)});
-    table.add_row({"usd_per_kstep", util::format_double(usd_per_kstep, 4)});
-  }
+  TablePrinter printer{table};
+  visit_rows(*this, printer);
   return table;
+}
+
+std::vector<ResultRow> ScenarioResult::rows() const {
+  RowCollector collector;
+  visit_rows(*this, collector);
+  return std::move(collector.rows);
 }
 
 SimHarness::SimHarness(ScenarioSpec spec)
@@ -240,7 +284,6 @@ ScenarioResult SimHarness::collect() {
   if (spec_.kind == HarnessKind::kFleet) provider_.export_market_gauges();
 
   ScenarioResult result;
-  result.sim_now = sim_.now();
   result.checkpoint_blobs = store_.blob_count();
   result.faults_injected = injector_.injected_total();
   if (plane_) {
@@ -263,6 +306,10 @@ ScenarioResult SimHarness::collect() {
       result.elapsed_seconds = run.finished() ? run.elapsed_seconds()
                                               : sim_.now();
       result.cost_usd = run.cost_so_far();
+      if (result.completed_steps > 0) {
+        result.usd_per_kstep = 1000.0 * result.cost_usd /
+                               static_cast<double>(result.completed_steps);
+      }
       result.revocations = run.revocations_seen();
       result.replacements = run.replacements_requested();
       result.restarts = run.restarts();

@@ -17,6 +17,9 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "ckpt/plane.hpp"
 #include "cloud/provider.hpp"
@@ -33,6 +36,9 @@
 #include "util/table.hpp"
 
 namespace cmdare::scenario {
+
+/// One ScenarioResult row: the name table() prints and the field's value.
+using ResultRow = std::pair<std::string_view, double>;
 
 /// What one scenario run produced. Which fields are meaningful depends
 /// on the spec's kind (e.g. the resilience counters are always zero for
@@ -98,16 +104,19 @@ struct ScenarioResult {
   long evictions_reclaim = 0;
   long evictions_priceout = 0;
   long migrations = 0;
-  /// Fleet-wide USD per thousand completed steps (the scheduler's
-  /// objective; kilo-steps keep the figure in a readable range).
+  /// USD per thousand completed steps (kilo-steps keep the figure in a
+  /// readable range): fleet-wide for kind=fleet, the scheduler's
+  /// objective; billed cost over completed steps for kind=run once a
+  /// step completed; zero otherwise.
   double usd_per_kstep = 0.0;
 
-  /// Final simulated time (== elapsed_seconds unless the run finished
-  /// before the deadline).
-  double sim_now = 0.0;
-
-  /// Two-column (field, value) table for terminal output.
+  /// Two-column (field, value) table for terminal output: the result
+  /// list's rows, skipping the sections a run left inactive.
   util::Table table() const;
+
+  /// Every row of the result list as (name, value), in table() order and
+  /// including inactive sections; flags read 0/1.
+  std::vector<ResultRow> rows() const;
 };
 
 class SimHarness {

@@ -1,5 +1,6 @@
 #include "scenario/sweep.hpp"
 
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -65,22 +66,48 @@ std::vector<ScenarioCell> expand(const ScenarioSweep& sweep) {
   return cells;
 }
 
-exp::ReplicaResult harness_replica(const ScenarioCell& cell, int /*replica*/,
-                                   util::Rng& rng,
-                                   obs::Telemetry* /*telemetry*/) {
-  SimHarness harness(cell.spec, rng);
-  const ScenarioResult outcome = harness.run();
-  exp::ReplicaResult result;
-  result.observe("finished", outcome.finished ? 1.0 : 0.0);
-  result.observe("steps", static_cast<double>(outcome.completed_steps));
-  result.observe("makespan_s", outcome.elapsed_seconds);
-  result.observe("cost_usd", outcome.cost_usd);
-  result.observe("revocations", static_cast<double>(outcome.revocations));
-  result.observe("launch_retries", static_cast<double>(outcome.launch_retries));
-  result.observe("checkpoints", static_cast<double>(outcome.checkpoint_blobs));
-  result.observe("faults_injected",
-                 static_cast<double>(outcome.faults_injected));
-  return result;
+ScenarioReplicaFn result_replica(const std::vector<ResultMetric>& metrics) {
+  const std::vector<ResultRow> rows = ScenarioResult().rows();
+  const auto position = [&](const std::string& name) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].first == name) return i;
+    }
+    throw std::invalid_argument("result_replica: unknown result row \"" +
+                                name + "\"");
+  };
+  struct Resolved {
+    std::string metric;
+    std::size_t row;
+    std::optional<std::size_t> gate;
+  };
+  std::vector<Resolved> resolved;
+  for (const ResultMetric& m : metrics) {
+    resolved.push_back({m.metric, position(m.row.empty() ? m.metric : m.row),
+                        m.gate.empty() ? std::nullopt
+                                       : std::optional(position(m.gate))});
+  }
+  return [resolved = std::move(resolved)](const ScenarioCell& cell,
+                                          int /*replica*/, util::Rng& rng,
+                                          obs::Telemetry* /*telemetry*/) {
+    SimHarness harness(cell.spec, rng);
+    const std::vector<ResultRow> rows = harness.run().rows();
+    exp::ReplicaResult result;
+    for (const Resolved& m : resolved) {
+      if (!m.gate || rows[*m.gate].second > 0.0) {
+        result.observe(m.metric, rows[m.row].second);
+      }
+    }
+    return result;
+  };
+}
+
+exp::ReplicaResult harness_replica(const ScenarioCell& cell, int replica,
+                                   util::Rng& rng, obs::Telemetry* telemetry) {
+  static const ScenarioReplicaFn standard = result_replica(
+      {{"finished"}, {"steps", "completed_steps"}, {"makespan_s", "elapsed"},
+       {"cost_usd"}, {"revocations"}, {"launch_retries"},
+       {"checkpoints", "checkpoint_blobs"}, {"faults_injected"}});
+  return standard(cell, replica, rng, telemetry);
 }
 
 void ScenarioCampaignResult::write_csv(std::ostream& out) const {

@@ -13,8 +13,8 @@
 // Rng(seed).fork(c).fork(r), aggregation folds in replica order within
 // each cell, and the CSV is therefore byte-identical at any --jobs. The
 // default replica builds a SimHarness on the cell's spec and reports a
-// standard metric set; pass a custom ScenarioReplicaFn to observe
-// anything else.
+// standard metric set; result_replica() observes any other list of
+// ScenarioResult rows, and a custom ScenarioReplicaFn anything else.
 #pragma once
 
 #include <cstdint>
@@ -71,9 +71,24 @@ using ScenarioReplicaFn = std::function<exp::ReplicaResult(
     const ScenarioCell& cell, int replica, util::Rng& rng,
     obs::Telemetry* telemetry)>;
 
-/// The default replica: SimHarness(cell.spec, rng).run(), observing
-/// finished / steps / makespan_s / cost_usd / revocations /
-/// launch_retries / checkpoints / faults_injected.
+/// One campaign observation copied from a ScenarioResult row: the CSV
+/// metric name, the row it reads (a ScenarioResult::rows() name; empty =
+/// the row named `metric`), and an optional gate row — when set, the
+/// metric is observed only if the gate row's value is > 0.
+struct ResultMetric {
+  std::string metric;
+  std::string row = {};
+  std::string gate = {};
+};
+
+/// A replica that runs SimHarness(cell.spec, rng) and observes `metrics`
+/// in list order. Row names resolve here, once; an unknown row or gate
+/// throws std::invalid_argument.
+ScenarioReplicaFn result_replica(const std::vector<ResultMetric>& metrics);
+
+/// The default replica: result_replica over finished / steps / makespan_s
+/// / cost_usd / revocations / launch_retries / checkpoints /
+/// faults_injected.
 exp::ReplicaResult harness_replica(const ScenarioCell& cell, int replica,
                                    util::Rng& rng, obs::Telemetry* telemetry);
 

@@ -7,10 +7,12 @@
 // fails these tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -205,6 +207,228 @@ TEST(SimHarness, TelemetryToggleInstallsABundle) {
   EXPECT_TRUE(saw_fault_counter);
 }
 
+// --- result table pins ------------------------------------------------
+
+// table() as scenario_runner printed it before the table became a
+// visitor over the result list, one run per section shape: ungrouped
+// rows only, elastic + outage, outage + ckpt, and fleet.
+
+std::string table_text(const ScenarioSpec& spec) {
+  SimHarness harness(spec);
+  return harness.run().table().to_string();
+}
+
+constexpr const char* kDemoTable = &R"TABLE(
++------------------------+--------+
+| field                  |  value |
++------------------------+--------+
+| finished               |   true |
+| completed_steps        |   2000 |
+| elapsed                | 4m 39s |
+| cost_usd               | 0.0336 |
+| revocations            |      0 |
+| replacements           |      0 |
+| restarts               |      0 |
+| launch_retries         |      6 |
+| fallbacks              |      3 |
+| slots_abandoned        |      0 |
+| notices                |      0 |
+| abrupt_kills           |      0 |
+| checkpoint_blobs       |      8 |
+| last_checkpoint_step   |   1602 |
+| faults_injected        |     11 |
+| detections             |      0 |
+| false_detections       |      0 |
+| detection_latency_p50  |   0.00 |
+| detection_latency_p99  |   0.00 |
+| detection_latency_mean |   0.00 |
+| interval_retunes       |      0 |
+| fenced_workers         |      0 |
+| hedges_cancelled       |      0 |
+| mean_recovery_seconds  |   0.00 |
++------------------------+--------+
+)TABLE"[1];
+
+TEST(ScenarioResult, TablePinsTheUngroupedRowsOfTheSeed2020Demo) {
+  EXPECT_EQ(table_text(resilience_demo_spec()), kDemoTable);
+}
+
+/// The elastic run of StormScenario.ElasticRunShrinksAndRegrows.
+ScenarioSpec elastic_storm_spec() {
+  ScenarioSpec spec = storm_scenario();
+  spec.max_steps = 120000;
+  spec.checkpoint_interval_steps = 4000;
+  spec.horizon_hours = 6.0;
+  spec.faults.storms[0].start_s = 1200.0;
+  spec.faults.storms[0].end_s = 3600.0;
+  spec.faults.storms[0].kill_fraction = 1.0;
+  spec.supervision.elastic.enabled = true;
+  return spec;
+}
+
+constexpr const char* kElasticStormTable = &R"TABLE(
++------------------------+------------+
+| field                  |      value |
++------------------------+------------+
+| finished               |       true |
+| completed_steps        |     120000 |
+| elapsed                | 3h 37m 47s |
+| cost_usd               |     1.1920 |
+| revocations            |          5 |
+| replacements           |          5 |
+| restarts               |          0 |
+| launch_retries         |         11 |
+| fallbacks              |          0 |
+| slots_abandoned        |          1 |
+| notices                |          1 |
+| abrupt_kills           |          4 |
+| checkpoint_blobs       |         29 |
+| last_checkpoint_step   |     116002 |
+| faults_injected        |          4 |
+| detections             |          4 |
+| false_detections       |          0 |
+| detection_latency_p50  |     113.15 |
+| detection_latency_p99  |     143.15 |
+| detection_latency_mean |     120.65 |
+| interval_retunes       |          0 |
+| fenced_workers         |          0 |
+| hedges_cancelled       |          0 |
+| mean_recovery_seconds  |     155.77 |
+| elastic_shrinks        |          3 |
+| elastic_grows          |          3 |
+| breaker_transitions    |          3 |
+| breaker_opens          |          1 |
+| outage_revocations     |          4 |
+| outage_denials         |         15 |
++------------------------+------------+
+)TABLE"[1];
+
+TEST(ScenarioResult, TablePinsTheElasticAndOutageSectionsOfAStormRun) {
+  EXPECT_EQ(table_text(elastic_storm_spec()), kElasticStormTable);
+}
+
+/// The ckpt sweep's base spec shrunk as ckpt_test shrinks it.
+ScenarioSpec shrunk_ckpt_spec() {
+  ScenarioSpec spec = ckpt_scenario();
+  spec.max_steps = 100000;
+  spec.checkpoint_interval_steps = 4000;
+  spec.horizon_hours = 6.0;
+  spec.faults.storms[0].start_s = 1800.0;
+  spec.faults.storms[0].end_s = 3600.0;
+  spec.faults.tier_outages[0].start_s = 3600.0;
+  spec.faults.tier_outages[0].end_s = 5400.0;
+  return spec;
+}
+
+constexpr const char* kCkptTable = &R"TABLE(
++------------------------+------------+
+| field                  |      value |
++------------------------+------------+
+| finished               |       true |
+| completed_steps        |     100000 |
+| elapsed                | 1h 06m 05s |
+| cost_usd               |     0.6348 |
+| revocations            |          3 |
+| replacements           |          3 |
+| restarts               |          0 |
+| launch_retries         |          6 |
+| fallbacks              |          3 |
+| slots_abandoned        |          0 |
+| notices                |          0 |
+| abrupt_kills           |          3 |
+| checkpoint_blobs       |         24 |
+| last_checkpoint_step   |      96000 |
+| faults_injected        |          9 |
+| detections             |          0 |
+| false_detections       |          0 |
+| detection_latency_p50  |       0.00 |
+| detection_latency_p99  |       0.00 |
+| detection_latency_mean |       0.00 |
+| interval_retunes       |          0 |
+| fenced_workers         |          0 |
+| hedges_cancelled       |          0 |
+| mean_recovery_seconds  |       0.00 |
+| outage_revocations     |          3 |
+| outage_denials         |          6 |
+| ckpt_base_writes       |          5 |
+| ckpt_delta_writes      |         19 |
+| ckpt_compactions       |          4 |
+| ckpt_quarantines       |          0 |
+| ckpt_verified_restores |          3 |
+| ckpt_cold_restarts     |          0 |
+| ckpt_tier_cost_usd     |     0.0005 |
++------------------------+------------+
+)TABLE"[1];
+
+TEST(ScenarioResult, TablePinsTheOutageAndCkptSectionsOfACkptRun) {
+  EXPECT_EQ(table_text(shrunk_ckpt_spec()), kCkptTable);
+}
+
+constexpr const char* kFleetTable = &R"TABLE(
++------------------------+------------+
+| field                  |      value |
++------------------------+------------+
+| finished               |       true |
+| completed_steps        |     164476 |
+| elapsed                | 6h 00m 00s |
+| cost_usd               |     6.1176 |
+| revocations            |          5 |
+| replacements           |          0 |
+| restarts               |          0 |
+| launch_retries         |          0 |
+| fallbacks              |          0 |
+| slots_abandoned        |          0 |
+| notices                |          0 |
+| abrupt_kills           |          0 |
+| checkpoint_blobs       |          0 |
+| last_checkpoint_step   |          0 |
+| faults_injected        |          0 |
+| detections             |          0 |
+| false_detections       |          0 |
+| detection_latency_p50  |       0.00 |
+| detection_latency_p99  |       0.00 |
+| detection_latency_mean |       0.00 |
+| interval_retunes       |          0 |
+| fenced_workers         |          0 |
+| hedges_cancelled       |          0 |
+| mean_recovery_seconds  |       0.00 |
+| tenants                |         32 |
+| tenants_finished       |         32 |
+| deadline_hit_rate      |      1.000 |
+| placements             |         38 |
+| evictions_reclaim      |          0 |
+| evictions_priceout     |          5 |
+| migrations             |          1 |
+| usd_per_kstep          |     0.0372 |
++------------------------+------------+
+)TABLE"[1];
+
+TEST(ScenarioResult, TablePinsTheFleetSectionOfASmallFleet) {
+  ScenarioSpec spec = fleet_scenario();
+  spec.fleet.tenants = 32;
+  spec.fleet.min_steps = 2000;
+  spec.fleet.max_steps = 8000;
+  spec.fleet.checkpoint_interval_steps = 200;
+  spec.horizon_hours = 6.0;
+  EXPECT_EQ(table_text(spec), kFleetTable);
+}
+
+TEST(ScenarioResult, RowsNameEveryFieldOnceWithFlagsAsZeroOrOne) {
+  SimHarness harness(resilience_demo_spec());
+  const std::vector<ResultRow> rows = harness.run().rows();
+  std::set<std::string_view> names;
+  for (const ResultRow& row : rows) {
+    EXPECT_TRUE(names.insert(row.first).second) << "duplicate " << row.first;
+  }
+  EXPECT_EQ(rows.size(), 45u);
+  EXPECT_EQ(rows[0], ResultRow("finished", 1.0));
+  EXPECT_EQ(rows[1], ResultRow("completed_steps", 2000.0));
+  // Inactive sections are read too: a run has no tenants, and its
+  // usd_per_kstep is its billed cost per thousand completed steps.
+  EXPECT_EQ(rows.back().first, "usd_per_kstep");
+  EXPECT_DOUBLE_EQ(rows.back().second, 1000.0 * 0.03357100669575535 / 2000.0);
+}
+
 // --- campaign byte-identity against pre-refactor golden CSVs ----------
 
 // Every column from `metric` on was captured before the scenario layer
@@ -293,6 +517,47 @@ TEST(ScenarioCatalog, EverySweepExpandsToRoundTrippingCells) {
   EXPECT_EQ(cells, 170u);
 }
 
+/// A catalog cell cut to test size: step budgets, checkpoint intervals,
+/// horizons and fleets capped as the shrunk-sweep tests cap them, and
+/// storm bursts moved inside the capped horizon.
+ScenarioSpec test_sized(ScenarioSpec spec) {
+  spec.max_steps = std::min(spec.max_steps, 20000L);
+  spec.checkpoint_interval_steps =
+      std::min(spec.checkpoint_interval_steps, 2000L);
+  spec.horizon_hours = std::min(spec.horizon_hours, 1.0);
+  for (faults::OutageStorm& storm : spec.faults.storms) {
+    storm.start_s = 300.0;
+    storm.end_s = 900.0;
+  }
+  spec.fleet.tenants = std::min(spec.fleet.tenants, 16);
+  spec.fleet.min_steps = std::min(spec.fleet.min_steps, 2000L);
+  spec.fleet.max_steps = std::min(spec.fleet.max_steps, 8000L);
+  spec.fleet.checkpoint_interval_steps =
+      std::min(spec.fleet.checkpoint_interval_steps, 200L);
+  return spec;
+}
+
+TEST(ScenarioCatalog, TelemetryNeverChangesAResult) {
+  std::size_t events = 0;
+  for (const NamedScenarioSweep& named : named_sweeps()) {
+    const std::vector<ScenarioCell> cells = expand(named.sweep);
+    for (const ScenarioCell* cell : {&cells.front(), &cells.back()}) {
+      const ScenarioSpec spec = test_sized(cell->spec);
+      const util::Rng root = util::Rng(named.sweep.seed).fork(cell->index);
+      SimHarness plain(spec, root);
+      const std::vector<ResultRow> expected = plain.run().rows();
+      obs::ScopedTelemetry telemetry;
+      SimHarness traced(spec, root);
+      EXPECT_EQ(traced.run().rows(), expected)
+          << named.name << " " << cell->label();
+      events += telemetry->ledger.size();
+    }
+  }
+  // The traced runs did record: the comparison is not between two
+  // untraced runs.
+  EXPECT_GT(events, 0u);
+}
+
 TEST(ScenarioCampaign, SweepCsvByteIdenticalAcrossJobCounts) {
   ScenarioSweep sweep;
   sweep.name = "sweep-identity";
@@ -363,6 +628,17 @@ TEST(ScenarioCampaign, DefaultReplicaReportsStandardMetrics) {
   EXPECT_DOUBLE_EQ(agg.metrics.at("finished").running.mean(), 1.0);
 }
 
+TEST(ScenarioCampaign, ResultReplicaRejectsUnknownRowsWhenBuilt) {
+  EXPECT_NO_THROW(result_replica(
+      {{"steps", "completed_steps"}, {"cost_usd"},
+       {"usd_per_kstep", "usd_per_kstep", "completed_steps"}}));
+  // A misspelt row, a metric whose own name is no row, and a bad gate.
+  EXPECT_THROW(result_replica({{"steps", "completed_step"}}),
+               std::invalid_argument);
+  EXPECT_THROW(result_replica({{"steps"}}), std::invalid_argument);
+  EXPECT_THROW(result_replica({{"ttr_s", "mean_recovery_seconds", "ttr"}}),
+               std::invalid_argument);
+}
 
 // --- golden run ledger (seed 2020, shrunk resilience sweep) -----------
 

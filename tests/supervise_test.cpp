@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "scenario/catalog.hpp"
 #include "scenario/harness.hpp"
@@ -255,6 +257,15 @@ TEST(SupervisedRun, DetectsAbruptKillsWithBoundedLatency) {
   EXPECT_GT(result.mean_recovery_seconds, result.detection_latency_p99 * 0.5);
 }
 
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
 TEST(DetectionCampaign, RecoveryTimeMonotoneInHeartbeatTimeout) {
   // Shrunk copy of the catalog sweep: one kill rate, three timeouts,
   // three replicas. ttr_s means must increase with the timeout, and the
@@ -267,8 +278,8 @@ TEST(DetectionCampaign, RecoveryTimeMonotoneInHeartbeatTimeout) {
   exp::RunOptions serial;
   serial.jobs = 1;
   const scenario::ScenarioCampaignResult first =
-      scenario::run_scenario_campaign(sweep, serial,
-                                      scenario::detection_replica);
+      scenario::run_scenario_campaign(
+          sweep, serial, scenario::sweep_by_name("detection").replica);
   ASSERT_EQ(first.cells.size(), 3u);
 
   double previous = -1.0;
@@ -285,13 +296,17 @@ TEST(DetectionCampaign, RecoveryTimeMonotoneInHeartbeatTimeout) {
   exp::RunOptions threaded;
   threaded.jobs = 4;
   const scenario::ScenarioCampaignResult second =
-      scenario::run_scenario_campaign(sweep, threaded,
-                                      scenario::detection_replica);
+      scenario::run_scenario_campaign(
+          sweep, threaded, scenario::sweep_by_name("detection").replica);
   std::ostringstream a;
   std::ostringstream b;
   first.write_csv(a);
   second.write_csv(b);
   EXPECT_EQ(a.str(), b.str());
+  // Byte-pin of the jobs=1 CSV (captured before the catalog's detection
+  // replica became a metric list): size + FNV-1a.
+  EXPECT_EQ(a.str().size(), 3676u);
+  EXPECT_EQ(fnv1a(a.str()), 3068137388782690578ull);
 }
 
 }  // namespace
