@@ -2,9 +2,8 @@
 //
 // Two modes:
 //
-//   bench_snapshot --kind micro --out BENCH_micro.json     # refresh
-//   bench_snapshot --check BENCH_micro.json \
-//                  --check BENCH_speed.json                # CI gate
+//   bench_snapshot --kind micro --out BENCH_micro.json                # refresh
+//   bench_snapshot --check BENCH_micro.json --check BENCH_speed.json  # CI gate
 //
 // Write mode runs one suite (micro = substrate microbenchmarks mirroring
 // bench_micro_sim / bench_micro_obs; speed = a shrunk single-threaded

@@ -98,7 +98,8 @@ int main() {
       "  finished %ld steps in %s with %d mitigation(s); final cluster has "
       "%d parameter servers (%d restarts, ~10 s each)\n",
       run.completed_steps(), util::format_duration(run.elapsed_seconds()).c_str(),
-      controller.mitigations(), run.current_ps_count(), run.restarts());
+      controller.mitigations(), run.current_ps_count(),
+      run.counters().restarts);
   for (const auto& r : controller.reports()) {
     if (r.flagged) {
       std::printf(

@@ -16,12 +16,10 @@
 // trailing line), and re-running with `--resume` replays the journaled
 // replicas and executes only the rest — the final CSV is byte-identical
 // to an uninterrupted run at any --jobs.
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 
 #include "scenario/catalog.hpp"
 #include "scenario/sweep.hpp"
@@ -117,11 +115,6 @@ int main(int argc, char** argv) {
     print_catalog();
     return 1;
   }
-  // Without --seed each campaign keeps its spec's seed.
-  const bool seed_set =
-      std::any_of(argv + 1, argv + argc, [](const char* arg) {
-        return std::string_view(arg) == "--seed";
-      });
   if (resume && journal_path.empty()) {
     std::fprintf(stderr, "error: --resume needs --journal PATH\n");
     return 1;
@@ -137,7 +130,8 @@ int main(int argc, char** argv) {
   }
   scenario::ScenarioSweep& sweep = named.sweep;
   if (replicas > 0) sweep.replicas = replicas;
-  if (seed_set) sweep.seed = seed;
+  // Without --seed each campaign keeps its spec's seed.
+  if (args.given("seed")) sweep.seed = seed;
 
   scenario::ScenarioCampaignResult result;
   try {

@@ -49,7 +49,7 @@ Plan simulate(const nn::CnnModel& model, cloud::GpuType gpu, int workers,
                (transient ? " transient" : " on-demand");
   plan.hours = run.elapsed_seconds() / 3600.0;
   plan.cost = run.cost_so_far();
-  plan.revocations = run.revocations_seen();
+  plan.revocations = run.counters().revocations;
   return plan;
 }
 

@@ -45,8 +45,8 @@ int main() {
   stockout.start_s = 0.0;
   stockout.end_s = 3600.0;
   spec.faults.stockouts.push_back(stockout);
-  spec.telemetry = true;
 
+  obs::ScopedTelemetry telemetry;
   scenario::SimHarness harness(spec);
   const scenario::ScenarioResult result = harness.run();
 
@@ -70,7 +70,7 @@ int main() {
       "faults.", "resilience.", "cloud.request_failures", "storage.",
       "train.checkpoints_abandoned"};
   for (const obs::SnapshotRow& row :
-       harness.telemetry()->registry.snapshot(kPrefixes)) {
+       telemetry->registry.snapshot(kPrefixes)) {
     if (row.kind != "counter") continue;
     const std::string labels = obs::format_labels(row.labels);
     std::printf("  %s%s%s%s = %.0f\n", row.name.c_str(),

@@ -2,7 +2,7 @@
 //
 //   scenario_runner scenarios/resilience.scn
 //   scenario_runner scenarios/quickstart.scn --set max_steps=5000
-//   scenario_runner scenarios/resilience.scn --sweep fault_rate=0,0.1,0.2 \
+//   scenario_runner scenarios/resilience.scn --sweep fault_rate=0,0.1,0.2
 //       --replicas 8 --jobs 4 --csv degradation.csv
 //   scenario_runner scenarios/quickstart.scn --print   # canonical form
 //   scenario_runner scenarios/resilience.scn --ledger run.jsonl --report
@@ -10,9 +10,11 @@
 //
 // A plain run wires the spec through SimHarness and prints the result
 // table. With --sweep axes it becomes a Monte-Carlo campaign on the
-// parallel engine (deterministic CSV at any --jobs value).
+// parallel engine (deterministic CSV at any --jobs value); --replicas,
+// --jobs, --quiet and --csv apply only to such a campaign and are
+// rejected without --sweep.
 //
-// Observability flags (both modes; they force telemetry on):
+// Observability flags (both modes; they turn telemetry on):
 //   --ledger PATH   write the run ledger (merged across replicas for a
 //                   sweep) as JSONL to PATH
 //   --report        fold the ledger through obs::analyze and print the
@@ -28,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -188,11 +191,13 @@ int main(int argc, char** argv) {
                  args.help_text().c_str());
     return 1;
   }
-  if (!csv_path.empty() && sweeps.empty()) {
-    std::fprintf(stderr,
-                 "error: --csv writes campaign aggregates and needs --sweep "
-                 "(a single run has none)\n");
-    return 1;
+  for (const char* flag : {"replicas", "jobs", "quiet", "csv"}) {
+    if (sweeps.empty() && args.given(flag)) {
+      std::fprintf(stderr,
+                   "error: --%s applies to a campaign and needs --sweep\n",
+                   flag);
+      return 1;
+    }
   }
 
   std::ifstream in(path);
@@ -245,7 +250,6 @@ int main(int argc, char** argv) {
 
   const bool wants_obs =
       !ledger_path.empty() || report || !metrics_prefix.empty();
-  if (wants_obs) spec.telemetry = true;
 
   if (!sweeps.empty()) {
     scenario::ScenarioSweep sweep;
@@ -314,6 +318,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  std::optional<obs::ScopedTelemetry> telemetry;
+  if (wants_obs) telemetry.emplace();
   try {
     scenario::SimHarness harness(spec);
     const scenario::ScenarioResult result = harness.run();
@@ -323,7 +329,7 @@ int main(int argc, char** argv) {
                     std::to_string(spec.seed) + "):");
     table.render(std::cout);
     if (wants_obs) {
-      const int rc = emit_observability(harness.telemetry(), ledger_path,
+      const int rc = emit_observability(obs::telemetry(), ledger_path,
                                         report, metrics_prefix);
       if (rc != 0) return rc;
     }

@@ -48,8 +48,8 @@ int main() {
   spec.supervision.checkpoint.retune_period_s = 1800.0;
   spec.supervision.score_replacement = true;
   spec.supervision.hedged_replacement = true;
-  spec.telemetry = true;
 
+  obs::ScopedTelemetry telemetry;
   scenario::SimHarness harness(spec);
   const scenario::ScenarioResult result = harness.run();
 
@@ -74,7 +74,7 @@ int main() {
   std::printf("\nsupervision counters:\n");
   static const std::vector<std::string> kPrefixes = {"supervise."};
   for (const obs::SnapshotRow& row :
-       harness.telemetry()->registry.snapshot(kPrefixes)) {
+       telemetry->registry.snapshot(kPrefixes)) {
     if (row.kind != "counter" && row.kind != "gauge") continue;
     const std::string labels = obs::format_labels(row.labels);
     std::printf("  %s%s%s%s = %.0f\n", row.name.c_str(),

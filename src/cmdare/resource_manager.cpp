@@ -87,7 +87,7 @@ void TransientTrainingRun::make_session(long remaining_steps) {
   }
   session_ = std::make_unique<train::TrainingSession>(
       provider_->simulator(), model_, session_config,
-      rng_.fork("session-" + std::to_string(restarts_)), store_);
+      rng_.fork("session-" + std::to_string(counters_.restarts)), store_);
   segment_started_at_ = provider_->simulator().now();
   session_->on_complete = [this] { finish(); };
   profiler_.attach(*session_);
@@ -150,10 +150,10 @@ void TransientTrainingRun::restart_with_ps_count(int ps_count) {
   retired_sessions_.push_back(std::move(session_));
 
   ps_count_ = ps_count;
-  ++restarts_;
+  ++counters_.restarts;
   const long remaining = std::max<long>(1, target_steps_ - completed_offset_);
   make_session(remaining);
-  LOG_INFO << "session restart #" << restarts_ << " with " << ps_count
+  LOG_INFO << "session restart #" << counters_.restarts << " with " << ps_count
            << " parameter servers at t=" << provider_->simulator().now();
 
   // Live workers rejoin the new session after the restart overhead.
@@ -213,7 +213,7 @@ cloud::InstanceId TransientTrainingRun::request_slot(Placement placement) {
   // parameter server / controller about the upcoming revocation. Abrupt
   // kills (injected) never fire it.
   callbacks.on_preemption_notice = [this](cloud::InstanceId id) {
-    ++notices_;
+    ++counters_.notices;
     auto it = placements_.find(id);
     if (it != placements_.end()) it->second.notice_received = true;
     LOG_DEBUG << "preemption notice for instance " << id << " at t="
@@ -295,7 +295,7 @@ void TransientTrainingRun::handle_running(cloud::InstanceId instance) {
                                           provider_->simulator().now());
     if (placement.elastic_regrow) {
       placement.elastic_regrow = false;
-      ++elastic_grows_;
+      ++counters_.elastic_grows;
       supervisor_->elastic().note_change(provider_->simulator().now());
       if (obs::Registry* registry = obs::registry()) {
         registry->counter("supervise.elastic.grows_total").inc();
@@ -358,7 +358,7 @@ void TransientTrainingRun::handle_running(cloud::InstanceId instance) {
       partner.hedge_partner.reset();
       if (!partner.worker && !partner.revoked && !partner.cancelled) {
         partner.cancelled = true;
-        ++hedges_cancelled_;
+        ++counters_.hedges_cancelled;
         if (provider_->record(partner_id).alive()) {
           provider_->terminate(partner_id);
         }
@@ -382,13 +382,13 @@ void TransientTrainingRun::handle_revoked(cloud::InstanceId instance) {
     return;
   }
   placement.revoked = true;
-  ++revocations_;
+  ++counters_.revocations;
   const bool abrupt =
       !placement.notice_received && provider_->record(instance).abrupt_kill;
   if (abrupt) {
     // Notice-less kill: the controller learns about the loss only now,
     // and any in-flight chief work dies with a stale checkpoint.
-    ++abrupt_kills_;
+    ++counters_.abrupt_kills;
     if (obs::Registry* registry = obs::registry()) {
       registry->counter("resilience.abrupt_kills_total").inc();
     }
@@ -425,7 +425,7 @@ void TransientTrainingRun::handle_revoked(cloud::InstanceId instance) {
       launch_replacement(placement.spec, provider_->simulator().now(),
                          instance);
     } else {
-      ++replacements_;
+      ++counters_.replacements;
       launch_worker(placement.spec, config_.replacement_context,
                     /*recovering_since=*/-1.0, instance);
     }
@@ -470,7 +470,7 @@ void TransientTrainingRun::handle_failure_detected(
   // every pending provider event, including the real future revocation —
   // so the slot cannot double-replace later, then refill.
   ++detected_failures_;
-  ++fenced_workers_;
+  ++counters_.fenced_workers;
   LOG_WARN << "fencing live instance " << instance
            << " after false-positive detection";
   if (obs::Registry* registry = obs::registry()) {
@@ -488,7 +488,7 @@ void TransientTrainingRun::handle_failure_detected(
 void TransientTrainingRun::launch_replacement(
     const train::WorkerSpec& spec, double recovering_since,
     std::optional<cloud::InstanceId> replaces) {
-  ++replacements_;
+  ++counters_.replacements;
   const cloud::InstanceId first = launch_worker(
       spec, config_.replacement_context, recovering_since, replaces);
   if (supervisor_ && config_.supervision.hedged_replacement) {
@@ -534,7 +534,7 @@ bool TransientTrainingRun::maybe_shrink(const Placement& placement,
                                             live, now, remaining_work_s);
   if (decision.replace) return false;
 
-  ++elastic_shrinks_;
+  ++counters_.elastic_shrinks;
   deferred_slots_.push_back(placement.original_spec);
   supervisor_->elastic().note_change(now);
   LOG_INFO << "elastic shrink (" << decision.reason << ", " << trigger
@@ -738,7 +738,7 @@ void TransientTrainingRun::handle_request_failed(
     if (retry.consecutive_stockouts >= policy.stockouts_before_fallback &&
         advance_fallback(retry)) {
       retry.consecutive_stockouts = 0;
-      ++fallbacks_;
+      ++counters_.fallbacks;
       const char* stage = retry.ladder_stage == 1   ? "region"
                           : retry.ladder_stage == 2 ? "gpu"
                                                     : "on_demand";
@@ -771,7 +771,7 @@ void TransientTrainingRun::handle_request_failed(
   }
 
   if (retry.attempt >= policy.max_launch_attempts) {
-    ++slots_abandoned_;
+    ++counters_.slots_abandoned;
     LOG_WARN << "worker slot abandoned after " << retry.attempt
              << " launch attempts (last failure: "
              << cloud::request_failure_reason_name(reason)
@@ -783,7 +783,7 @@ void TransientTrainingRun::handle_request_failed(
     return;
   }
   ++retry.attempt;
-  ++launch_retries_;
+  ++counters_.launch_retries;
 
   // Capped exponential backoff with jitter before the next attempt.
   double delay = policy.backoff_base_seconds *

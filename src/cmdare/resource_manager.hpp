@@ -80,6 +80,26 @@ struct RunConfig {
   supervise::SupervisionConfig supervision;
 };
 
+/// What a run counts, each named like the ScenarioResult row that reports
+/// it. Launch retries, fallbacks and abandoned slots stay zero without a
+/// fault injector (the fault-free cloud never denies a request); fenced
+/// workers, cancelled hedges and elastic shrinks/grows stay zero without
+/// a supervisor.
+struct RunCounters {
+  int revocations = 0;
+  int replacements = 0;
+  int restarts = 0;          // session restarts with a new PS count
+  int launch_retries = 0;
+  int fallbacks = 0;
+  int slots_abandoned = 0;
+  int notices = 0;           // preemption notices received
+  int abrupt_kills = 0;      // revocations that skipped the notice
+  int fenced_workers = 0;    // live workers fenced after a false positive
+  int hedges_cancelled = 0;  // hedge legs cancelled after losing the race
+  int elastic_shrinks = 0;   // losses absorbed by deferring the slot
+  int elastic_grows = 0;     // deferred slots regrown
+};
+
 class TransientTrainingRun {
  public:
   /// `store` may be null (checkpoint durations sampled, blobs not kept).
@@ -105,22 +125,12 @@ class TransientTrainingRun {
   long target_steps() const { return target_steps_; }
   bool finished() const { return finished_; }
   int current_ps_count() const { return ps_count_; }
-  int restarts() const { return restarts_; }
 
   /// Windowed cluster-speed profiler, re-attached across restarts.
   const PerformanceProfiler& profiler() const { return profiler_; }
 
-  int revocations_seen() const { return revocations_; }
-  int replacements_requested() const { return replacements_; }
+  const RunCounters& counters() const { return counters_; }
 
-  /// Resilience bookkeeping (all zero when no fault injector is attached
-  /// to the provider — the fault-free cloud never denies a request).
-  int launch_retries() const { return launch_retries_; }
-  int fallbacks_taken() const { return fallbacks_; }
-  int slots_abandoned() const { return slots_abandoned_; }
-  /// Preemption notices received / revocations that skipped the notice.
-  int notices_seen() const { return notices_; }
-  int abrupt_kills_seen() const { return abrupt_kills_; }
   /// Late or duplicate provider lifecycle events that were ignored
   /// instead of aborting the run.
   int stale_events_ignored() const { return stale_events_; }
@@ -129,14 +139,6 @@ class TransientTrainingRun {
   const supervise::Supervisor* supervisor() const { return supervisor_.get(); }
   /// Replacements whose detection was deferred to a heartbeat timeout.
   int detected_failures() const { return detected_failures_; }
-  /// Live workers fenced (terminated) after a false-positive detection.
-  int fenced_workers() const { return fenced_workers_; }
-  /// Hedged replacement legs cancelled after the partner won the race.
-  int hedges_cancelled() const { return hedges_cancelled_; }
-  /// Elastic membership: worker losses absorbed (slot deferred, not
-  /// replaced) / deferred slots regrown to target size.
-  int elastic_shrinks() const { return elastic_shrinks_; }
-  int elastic_grows() const { return elastic_grows_; }
   /// Slots currently parked in the deferred queue (shrinks minus grows,
   /// minus any probe in flight).
   std::size_t deferred_worker_slots() const { return deferred_slots_.size(); }
@@ -155,7 +157,8 @@ class TransientTrainingRun {
   /// fill a slot or the elastic policy has parked it.
   std::size_t expected_worker_count() const {
     return config_.workers.size() -
-           static_cast<std::size_t>(slots_abandoned_) - deferred_slots_.size();
+           static_cast<std::size_t>(counters_.slots_abandoned) -
+           deferred_slots_.size();
   }
 
   /// Worker GPU-hours cost so far plus parameter-server cost.
@@ -289,25 +292,14 @@ class TransientTrainingRun {
   long target_steps_ = 0;
   long completed_offset_ = 0;
   int ps_count_ = 1;
-  int restarts_ = 0;
   bool finished_ = false;
   double started_at_ = -1.0;
   double finished_at_ = -1.0;
   double ps_cost_accrued_ = 0.0;   // USD, for completed session segments
   double segment_started_at_ = 0.0;
-  int revocations_ = 0;
-  int replacements_ = 0;
-  int launch_retries_ = 0;
-  int fallbacks_ = 0;
-  int slots_abandoned_ = 0;
-  int notices_ = 0;
-  int abrupt_kills_ = 0;
+  RunCounters counters_;
   int stale_events_ = 0;
   int detected_failures_ = 0;
-  int fenced_workers_ = 0;
-  int hedges_cancelled_ = 0;
-  int elastic_shrinks_ = 0;
-  int elastic_grows_ = 0;
   long adaptive_interval_ = 0;
   std::vector<double> recovery_seconds_;
   /// Original specs of slots the elastic policy declined to refill;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "nn/model_zoo.hpp"
+#include "obs/obs.hpp"
 #include "util/strings.hpp"
 
 namespace cmdare::scenario {
@@ -35,6 +36,23 @@ std::vector<train::WorkerSpec> expand_workers(const ScenarioSpec& spec) {
     }
   }
   return workers;
+}
+
+/// The counts of the kinds without a control plane: kind=cloud counts the
+/// provider's revoked instances (and the abrupt kills among them),
+/// kind=fleet counts every eviction as a revocation.
+core::RunCounters revoked_counters(const cloud::CloudProvider& provider) {
+  core::RunCounters counters;
+  for (const cloud::InstanceRecord& record : provider.records()) {
+    if (record.state != cloud::InstanceState::kRevoked) continue;
+    ++counters.revocations;
+    if (record.abrupt_kill) ++counters.abrupt_kills;
+  }
+  return counters;
+}
+
+core::RunCounters evicted_counters(const fleet::FleetStats& stats) {
+  return {.revocations = static_cast<int>(stats.evictions_total())};
 }
 
 // --- the result list -----------------------------------------------------
@@ -159,9 +177,6 @@ SimHarness::SimHarness(ScenarioSpec spec)
 SimHarness::SimHarness(ScenarioSpec spec, const util::Rng& root)
     : spec_(std::move(spec)),
       root_(root),
-      owned_telemetry_(spec_.telemetry && !obs::enabled()
-                           ? std::make_unique<obs::ScopedTelemetry>()
-                           : nullptr),
       injector_(spec_.faults, root_.fork("faults")),
       provider_(sim_, root_.fork("cloud"), spec_.utc_start_hour),
       store_(sim_, root_.fork("store")) {
@@ -255,16 +270,7 @@ ScenarioResult SimHarness::run() {
   } else {
     sim_.run();
   }
-
-  result_ = collect();
-  return result_;
-}
-
-const ScenarioResult& SimHarness::result() const {
-  if (!ran_) {
-    throw std::logic_error("SimHarness::result: run() has not been called");
-  }
-  return result_;
+  return collect();
 }
 
 ScenarioResult SimHarness::collect() {
@@ -284,6 +290,7 @@ ScenarioResult SimHarness::collect() {
   if (spec_.kind == HarnessKind::kFleet) provider_.export_market_gauges();
 
   ScenarioResult result;
+  core::RunCounters& counters = result;
   result.checkpoint_blobs = store_.blob_count();
   result.faults_injected = injector_.injected_total();
   if (plane_) {
@@ -310,14 +317,7 @@ ScenarioResult SimHarness::collect() {
         result.usd_per_kstep = 1000.0 * result.cost_usd /
                                static_cast<double>(result.completed_steps);
       }
-      result.revocations = run.revocations_seen();
-      result.replacements = run.replacements_requested();
-      result.restarts = run.restarts();
-      result.launch_retries = run.launch_retries();
-      result.fallbacks = run.fallbacks_taken();
-      result.slots_abandoned = run.slots_abandoned();
-      result.notices = run.notices_seen();
-      result.abrupt_kills = run.abrupt_kills_seen();
+      counters = run.counters();
       result.last_checkpoint_step = run.session().last_checkpoint_step();
       if (const supervise::Supervisor* supervisor = run.supervisor()) {
         result.detections = supervisor->detections();
@@ -328,11 +328,7 @@ ScenarioResult SimHarness::collect() {
             supervisor->detection_latency_quantile(0.99);
         result.detection_latency_mean = supervisor->detection_latency_mean();
         result.interval_retunes = supervisor->controller().retunes();
-        result.fenced_workers = run.fenced_workers();
-        result.hedges_cancelled = run.hedges_cancelled();
         result.mean_recovery_seconds = run.mean_recovery_seconds();
-        result.elastic_shrinks = run.elastic_shrinks();
-        result.elastic_grows = run.elastic_grows();
         result.breaker_transitions = supervisor->breaker().transitions();
         result.breaker_opens = supervisor->breaker().opens();
       }
@@ -353,12 +349,7 @@ ScenarioResult SimHarness::collect() {
       result.finished = true;
       result.elapsed_seconds = sim_.now();
       result.cost_usd = provider_.total_cost();
-      for (const cloud::InstanceRecord& record : provider_.records()) {
-        if (record.state == cloud::InstanceState::kRevoked) {
-          ++result.revocations;
-          if (record.abrupt_kill) ++result.abrupt_kills;
-        }
-      }
+      counters = revoked_counters(provider_);
       break;
     }
     case HarnessKind::kFleet: {
@@ -367,7 +358,7 @@ ScenarioResult SimHarness::collect() {
       result.completed_steps = static_cast<long>(stats.completed_steps);
       result.elapsed_seconds = sim_.now();
       result.cost_usd = stats.cost_usd;
-      result.revocations = static_cast<int>(stats.evictions_total());
+      counters = evicted_counters(stats);
       result.tenants = stats.tenants;
       result.tenants_finished = stats.finished;
       result.deadline_hit_rate = stats.deadline_hit_rate();

@@ -2,9 +2,10 @@
 //
 // SimHarness turns a ScenarioSpec into a fully wired simulation: the
 // simulator, the forked deterministic Rng streams, the cloud provider,
-// the object store, the fault injector, optional telemetry, and the
-// training substrate the spec's `kind` asks for. run() drives the event
-// queue to the spec's deadline and returns a ScenarioResult.
+// the object store, the fault injector, and the training substrate the
+// spec's `kind` asks for. run() drives the event queue to the spec's
+// deadline and returns a ScenarioResult. Telemetry is the caller's: the
+// run records into whatever obs::ScopedTelemetry the thread installed.
 //
 // Determinism contract: the harness forks the exact stream labels the
 // hand-wired replicas always used — "faults", "cloud", "store", "run"
@@ -27,7 +28,6 @@
 #include "cmdare/resource_manager.hpp"
 #include "faults/faults.hpp"
 #include "fleet/fleet.hpp"
-#include "obs/obs.hpp"
 #include "scenario/spec.hpp"
 #include "simcore/simulator.hpp"
 #include "train/session.hpp"
@@ -42,23 +42,14 @@ using ResultRow = std::pair<std::string_view, double>;
 
 /// What one scenario run produced. Which fields are meaningful depends
 /// on the spec's kind (e.g. the resilience counters are always zero for
-/// kind=session, cost is provider-billed only for kind=run/cloud).
-struct ScenarioResult {
+/// kind=session, cost is provider-billed only for kind=run/cloud); the
+/// control plane's counts are the inherited core::RunCounters.
+struct ScenarioResult : core::RunCounters {
   bool finished = false;
   long completed_steps = 0;
   /// Makespan when the run finished; otherwise sim time at the deadline.
   double elapsed_seconds = 0.0;
   double cost_usd = 0.0;
-
-  // --- cloud / control plane ---
-  int revocations = 0;
-  int replacements = 0;
-  int restarts = 0;
-  int launch_retries = 0;
-  int fallbacks = 0;
-  int slots_abandoned = 0;
-  int notices = 0;
-  int abrupt_kills = 0;
 
   // --- checkpoints / faults ---
   std::size_t checkpoint_blobs = 0;
@@ -72,13 +63,9 @@ struct ScenarioResult {
   double detection_latency_p99 = 0.0;
   double detection_latency_mean = 0.0;
   int interval_retunes = 0;
-  int fenced_workers = 0;
-  int hedges_cancelled = 0;
   double mean_recovery_seconds = 0.0;
 
   // --- elastic membership (zero unless supervise.elastic.enabled) ---
-  int elastic_shrinks = 0;
-  int elastic_grows = 0;
   int breaker_transitions = 0;
   int breaker_opens = 0;
 
@@ -136,29 +123,14 @@ class SimHarness {
   /// is rejected by the constructor with std::invalid_argument.)
   ScenarioResult run();
 
-  /// The result of the completed run; throws std::logic_error before
-  /// run() has been called.
-  const ScenarioResult& result() const;
-
-  const ScenarioSpec& spec() const { return spec_; }
   simcore::Simulator& simulator() { return sim_; }
   cloud::CloudProvider& provider() { return provider_; }
-  cloud::ObjectStore& store() { return store_; }
-  faults::FaultInjector& injector() { return injector_; }
 
   /// The active training session: the bare session for kind=session, the
   /// control plane's current session for kind=run, null otherwise.
   train::TrainingSession* session();
   train::SyncTrainingSession* sync_session() { return sync_.get(); }
   core::TransientTrainingRun* training_run() { return run_.get(); }
-  fleet::FleetSim* fleet() { return fleet_.get(); }
-  /// The checkpoint data plane; null unless spec.ckpt.enabled.
-  ckpt::CheckpointPlane* plane() { return plane_.get(); }
-
-  /// The thread's active telemetry bundle (the harness-owned one when the
-  /// spec asked for telemetry and none was installed, the ambient one —
-  /// e.g. a campaign replica's — otherwise). Null when disabled.
-  obs::Telemetry* telemetry() { return obs::telemetry(); }
 
  private:
   void build();
@@ -166,9 +138,6 @@ class SimHarness {
 
   ScenarioSpec spec_;
   util::Rng root_;
-  /// Installed only when spec_.telemetry is set and the thread had no
-  /// bundle (campaign replicas already have one installed by exp).
-  std::unique_ptr<obs::ScopedTelemetry> owned_telemetry_;
   faults::FaultInjector injector_;
   simcore::Simulator sim_;
   cloud::CloudProvider provider_;
@@ -181,7 +150,6 @@ class SimHarness {
   std::unique_ptr<core::TransientTrainingRun> run_;
   std::unique_ptr<fleet::FleetSim> fleet_;
   bool ran_ = false;
-  ScenarioResult result_;
 };
 
 }  // namespace cmdare::scenario

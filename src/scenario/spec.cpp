@@ -535,7 +535,6 @@ void visit_fields(Spec& s, Visitor& v) {
   v.number("fleet.migrate_period_s", market.migrate_period_s, kSeconds);
   v.number("fleet.migrate_gain", market.migrate_gain, kFraction);
   v.flag("fleet.hazard_revocations", market.hazard_revocations);
-  v.flag("telemetry", s.telemetry);
   auto& sup = s.supervision;
   v.flag("supervise.enabled", sup.enabled);
   v.number("supervise.heartbeat_period_s", sup.heartbeat.period_s,

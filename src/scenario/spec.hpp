@@ -4,10 +4,10 @@
 // the lifetime censuses, the speed tables, the fault-tolerance ablations,
 // the §VI use cases — over one substrate. ScenarioSpec is that idea made
 // first-class: a plain struct naming the model, worker mix, session and
-// checkpoint configuration, deadline, seed, fault plan, resilience policy
-// and telemetry toggle of an entire experiment, with a human-readable
-// `key = value` text form so scenarios live in files (scenarios/*.scn),
-// CLI arguments, and campaign cells instead of hand-wired C++.
+// checkpoint configuration, deadline, seed, fault plan and resilience
+// policy of an entire experiment, with a human-readable `key = value`
+// text form so scenarios live in files (scenarios/*.scn), CLI arguments,
+// and campaign cells instead of hand-wired C++.
 //
 // The text codec round-trips: parse(serialize(spec)) reproduces `spec`
 // exactly (doubles are emitted shortest-round-trip via std::to_chars).
@@ -120,11 +120,6 @@ struct ScenarioSpec {
   /// Tenant population, market curves, and global scheduler policy. All
   /// keys are prefixed `fleet.`; only read when kind=fleet.
   fleet::FleetConfig fleet;
-
-  // --- observability ---
-  /// Install an obs::Telemetry bundle for the run (merged telemetry is
-  /// then available on the harness).
-  bool telemetry = false;
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };

@@ -132,6 +132,7 @@ bool ArgParser::parse(int argc, char* const* argv, std::string* error) {
         if (error) *error = arg + ": " + apply_error;
         return false;
       }
+      given_.insert(option->name);
       continue;
     }
     if (next_positional >= positionals_.size()) {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,10 @@ class ArgParser {
 
   bool help_requested() const { return help_requested_; }
 
+  /// True when `--name` appeared on the parsed command line, so a caller
+  /// can tell an explicit value from the default.
+  bool given(const std::string& name) const { return given_.contains(name); }
+
   /// The generated usage + option table.
   std::string help_text() const;
 
@@ -80,6 +85,7 @@ class ArgParser {
   std::string description_;
   std::vector<Option> options_;
   std::vector<Positional> positionals_;
+  std::set<std::string> given_;
   bool help_requested_ = false;
 };
 

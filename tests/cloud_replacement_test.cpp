@@ -187,13 +187,13 @@ TEST(SupervisedReplacement, LateRevocationAfterDetectionIsStale) {
   ASSERT_TRUE(found) << "worker never reached RUNNING";
 
   TransientTrainingRunTestPeer::failure_detected(run, live);
-  EXPECT_EQ(run.fenced_workers(), 1);
-  EXPECT_EQ(run.replacements_requested(), 1);
+  EXPECT_EQ(run.counters().fenced_workers, 1);
+  EXPECT_EQ(run.counters().replacements, 1);
   const int stale_before = run.stale_events_ignored();
 
   // The racing revocation for the fenced instance arrives late.
   TransientTrainingRunTestPeer::revoked(run, live);
-  EXPECT_EQ(run.replacements_requested(), 1);  // no double replacement
+  EXPECT_EQ(run.counters().replacements, 1);  // no double replacement
   EXPECT_EQ(run.stale_events_ignored(), stale_before + 1);
 
   sim.run();
@@ -213,11 +213,11 @@ TEST(SupervisedReplacement, LateDetectionAfterNoticedRevocationIsStale) {
   run.start();
 
   double t = 0.0;
-  while (run.revocations_seen() == 0 && t < 26.0 * 3600.0) {
+  while (run.counters().revocations == 0 && t < 26.0 * 3600.0) {
     t += 600.0;
     sim.run_until(t);
   }
-  ASSERT_GT(run.revocations_seen(), 0) << "no revocation within 26 h";
+  ASSERT_GT(run.counters().revocations, 0) << "no revocation within 26 h";
   ASSERT_FALSE(run.session().finished());
 
   // The market hazard ends an instance as REVOKED; the 24 h preemptible
@@ -233,10 +233,10 @@ TEST(SupervisedReplacement, LateDetectionAfterNoticedRevocationIsStale) {
   }
   ASSERT_TRUE(found);
 
-  const int replacements = run.replacements_requested();
+  const int replacements = run.counters().replacements;
   const int stale_before = run.stale_events_ignored();
   TransientTrainingRunTestPeer::failure_detected(run, dead);
-  EXPECT_EQ(run.replacements_requested(), replacements);
+  EXPECT_EQ(run.counters().replacements, replacements);
   EXPECT_EQ(run.detected_failures(), 0);
   EXPECT_EQ(run.stale_events_ignored(), stale_before + 1);
 }

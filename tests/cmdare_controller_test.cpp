@@ -50,7 +50,7 @@ TEST_F(ControllerTest, MitigatesSaturatedCluster) {
   EXPECT_TRUE(run.finished());
   EXPECT_GE(controller.mitigations(), 1);
   EXPECT_GT(run.current_ps_count(), 1);
-  EXPECT_EQ(run.restarts(), controller.mitigations());
+  EXPECT_EQ(run.counters().restarts, controller.mitigations());
   EXPECT_GE(run.completed_steps(), 60000);
 }
 
@@ -131,7 +131,7 @@ TEST_F(ControllerTest, RestartAfterFinishIsNoOp) {
   sim.run();
   EXPECT_TRUE(run.finished());
   run.restart_with_ps_count(3);
-  EXPECT_EQ(run.restarts(), 0);
+  EXPECT_EQ(run.counters().restarts, 0);
   EXPECT_EQ(run.current_ps_count(), 1);
 }
 

@@ -56,8 +56,8 @@ TEST(TransientRun, ReplacesRevokedWorkers) {
   run.start();
   sim.run();
   EXPECT_TRUE(run.session().finished());
-  EXPECT_GT(run.revocations_seen(), 0);
-  EXPECT_EQ(run.replacements_requested(), run.revocations_seen());
+  EXPECT_GT(run.counters().revocations, 0);
+  EXPECT_EQ(run.counters().replacements, run.counters().revocations);
 }
 
 TEST(TransientRun, NoReplacementWhenDisabled) {
@@ -70,7 +70,7 @@ TEST(TransientRun, NoReplacementWhenDisabled) {
   run.start();
   // Run at most 10 simulated days to bound the test if all workers die.
   sim.run_until(10 * 24 * 3600.0);
-  EXPECT_EQ(run.replacements_requested(), 0);
+  EXPECT_EQ(run.counters().replacements, 0);
 }
 
 TEST(TransientRun, AccountsCostIncludingParameterServer) {

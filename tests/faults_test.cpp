@@ -399,9 +399,9 @@ TEST(Resilience, RetriesThroughTransientStockout) {
   sim.run();
 
   EXPECT_TRUE(run.finished());
-  EXPECT_GT(run.launch_retries(), 0);
-  EXPECT_EQ(run.fallbacks_taken(), 0);
-  EXPECT_EQ(run.slots_abandoned(), 0);
+  EXPECT_GT(run.counters().launch_retries, 0);
+  EXPECT_EQ(run.counters().fallbacks, 0);
+  EXPECT_EQ(run.counters().slots_abandoned, 0);
 }
 
 TEST(Resilience, PersistentStockoutClimbsToAlternateRegion) {
@@ -419,7 +419,7 @@ TEST(Resilience, PersistentStockoutClimbsToAlternateRegion) {
   sim.run();
 
   EXPECT_TRUE(run.finished());
-  EXPECT_GT(run.fallbacks_taken(), 0);
+  EXPECT_GT(run.counters().fallbacks, 0);
   bool placed_elsewhere = false;
   for (const auto& record : provider.records()) {
     if (record.state == cloud::InstanceState::kFailed) continue;
@@ -447,7 +447,7 @@ TEST(Resilience, OnDemandRungEscapesGlobalStockout) {
   sim.run();
 
   EXPECT_TRUE(run.finished());
-  EXPECT_GE(run.fallbacks_taken(), 2);  // region rung, then on-demand
+  EXPECT_GE(run.counters().fallbacks, 2);  // region rung, then on-demand
   bool on_demand_used = false;
   for (const auto& record : provider.records()) {
     if (!record.request.transient &&
@@ -473,8 +473,8 @@ TEST(Resilience, AbandonsSlotWhenEveryRungIsClosed) {
   sim.run();  // must drain without throwing
 
   EXPECT_FALSE(run.finished());
-  EXPECT_EQ(run.slots_abandoned(), 1);
-  EXPECT_EQ(run.launch_retries(), 2);  // attempts 2 and 3
+  EXPECT_EQ(run.counters().slots_abandoned, 1);
+  EXPECT_EQ(run.counters().launch_retries, 2);  // attempts 2 and 3
   EXPECT_EQ(run.expected_worker_count(), 0u);
 }
 
@@ -495,7 +495,7 @@ TEST(Resilience, GracefulDegradationAtTwentyPercentFaults) {
   sim.run_until(48 * 3600.0);
 
   EXPECT_TRUE(run.finished());
-  EXPECT_GT(run.launch_retries(), 0);
+  EXPECT_GT(run.counters().launch_retries, 0);
   EXPECT_GT(injector.injected_total(), 0u);
 }
 
@@ -517,7 +517,7 @@ TEST(Resilience, DeterministicUnderInjection) {
     sim.run_until(48 * 3600.0);
     steps = run.completed_steps();
     cost = run.cost_so_far();
-    retries = run.launch_retries();
+    retries = run.counters().launch_retries;
     injected = injector.injected_total();
   };
   long steps_a, steps_b;
@@ -577,7 +577,7 @@ TEST(Resilience, IgnoresLateAndDuplicateLifecycleEvents) {
   // Duplicate revocation of an instance the run does know.
   EXPECT_NO_THROW(TransientTrainingRunTestPeer::revoked(run, 0));
   EXPECT_GE(run.stale_events_ignored(), 3);
-  EXPECT_EQ(run.revocations_seen(), 0);  // duplicates not double-counted
+  EXPECT_EQ(run.counters().revocations, 0);  // duplicates not double-counted
 }
 
 }  // namespace

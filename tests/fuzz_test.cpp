@@ -150,7 +150,7 @@ TEST_P(RunFuzz, TransientRunSurvivesChurnyRegions) {
 
   EXPECT_TRUE(run.finished());
   EXPECT_GE(run.completed_steps(), config.session.max_steps);
-  EXPECT_EQ(run.replacements_requested(), run.revocations_seen());
+  EXPECT_EQ(run.counters().replacements, run.counters().revocations);
   EXPECT_GT(run.cost_so_far(), 0.0);
   EXPECT_GT(run.elapsed_seconds(), 0.0);
   // All instances released at completion.

@@ -103,7 +103,7 @@ TEST(Integration, RevokedRunStillReachesTargetAndCostsMore) {
     run.start();
     sim.run();
     EXPECT_TRUE(run.session().finished());
-    *revocations = run.revocations_seen();
+    *revocations = run.counters().revocations;
     return run.elapsed_seconds();
   };
 

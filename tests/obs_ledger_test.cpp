@@ -279,7 +279,6 @@ scenario::ScenarioSpec resilience_spec() {
   spec.checkpoint_interval_steps = 200;
   spec.horizon_hours = 48.0;
   spec.faults = faults::FaultPlan::uniform(0.2);
-  spec.telemetry = true;
   return spec;
 }
 
@@ -298,16 +297,15 @@ scenario::ScenarioSpec supervise_spec() {
   spec.supervision.enabled = true;
   spec.supervision.heartbeat.period_s = 15.0;
   spec.supervision.heartbeat.timeout_s = 120.0;
-  spec.telemetry = true;
   return spec;
 }
 
 void expect_cost_identity(const scenario::ScenarioSpec& spec) {
+  ScopedTelemetry telemetry;
   scenario::SimHarness harness(spec);
   const scenario::ScenarioResult result = harness.run();
-  ASSERT_NE(harness.telemetry(), nullptr);
   const analyze::LedgerAnalysis analysis =
-      analyze::analyze_ledger(harness.telemetry()->ledger);
+      analyze::analyze_ledger(telemetry->ledger);
 
   // Eq. 4 identity: the four buckets partition the billed time exactly.
   EXPECT_GT(analysis.cost.billed_seconds, 0.0);
@@ -328,10 +326,11 @@ TEST(LedgerAnalyze, CostIdentityOnSuperviseScenario) {
 }
 
 TEST(LedgerAnalyze, SuperviseScenarioYieldsCompleteIncidents) {
+  ScopedTelemetry telemetry;
   scenario::SimHarness harness(supervise_spec());
   harness.run();
   const analyze::LedgerAnalysis analysis =
-      analyze::analyze_ledger(harness.telemetry()->ledger);
+      analyze::analyze_ledger(telemetry->ledger);
   EXPECT_GE(analysis.counts.detections, 1u);
   EXPECT_GE(analysis.recovery.incidents.size(), 1u);
   for (const analyze::RecoveryIncident& incident :

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -65,6 +67,18 @@ TEST(SimHarness, ReproducesPreRefactorResilienceDemoAtSeed2020) {
   EXPECT_EQ(result.replacements, 0);
   EXPECT_EQ(result.checkpoint_blobs, 8u);
   EXPECT_EQ(result.faults_injected, 11u);
+}
+
+TEST(SimHarness, ResilienceDemoSpecIsTheCheckedInScenarioFile) {
+  // scenarios/resilience.scn documents these seed-2020 goldens, so the
+  // file and the C++ spec they are pinned on must not drift apart.
+  std::ifstream in(std::filesystem::path(CMDARE_SCENARIO_DIR) /
+                   "resilience.scn");
+  std::ostringstream text;
+  text << in.rdbuf();
+  const ParseResult parsed = parse(text.str());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(serialize(resilience_demo_spec()), serialize(parsed.spec));
 }
 
 TEST(SimHarness, SupervisionKeysUnsetPreserveSeed2020Goldens) {
@@ -135,9 +149,19 @@ TEST(SimHarness, StormElasticKeysUnsetPreserveSeed2020Goldens) {
 
 TEST(SimHarness, RefusesToRunTwice) {
   SimHarness harness(resilience_demo_spec());
-  harness.run();
+  const ScenarioResult result = harness.run();
   EXPECT_THROW(harness.run(), std::logic_error);
-  EXPECT_TRUE(harness.result().finished);
+  EXPECT_TRUE(result.finished);
+}
+
+TEST(SimHarness, RecordsIntoTheCallersTelemetry) {
+  obs::ScopedTelemetry telemetry;
+  SimHarness harness(resilience_demo_spec());
+  harness.run();
+  // The harness owns no bundle: the run's fault counters land in the one
+  // its caller installed.
+  EXPECT_FALSE(
+      telemetry->registry.snapshot(std::string_view("faults.")).empty());
 }
 
 TEST(SimHarness, RejectsInvalidSpec) {
@@ -189,22 +213,6 @@ TEST(SimHarness, CloudKindExposesACallerDrivenProvider) {
   // instance is revoked (or expired) well inside the horizon.
   EXPECT_EQ(harness.provider().instance_count(), 1u);
   EXPECT_GT(result.cost_usd, 0.0);
-}
-
-TEST(SimHarness, TelemetryToggleInstallsABundle) {
-  ScenarioSpec spec = resilience_demo_spec();
-  spec.telemetry = true;
-  SimHarness harness(spec);
-  ASSERT_NE(harness.telemetry(), nullptr);
-  harness.run();
-  // The run recorded fault counters into the harness-owned bundle.
-  bool saw_fault_counter = false;
-  for (const obs::SnapshotRow& row : harness.telemetry()->registry.snapshot(
-           std::string_view("faults."))) {
-    (void)row;
-    saw_fault_counter = true;
-  }
-  EXPECT_TRUE(saw_fault_counter);
 }
 
 // --- result table pins ------------------------------------------------

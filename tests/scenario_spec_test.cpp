@@ -8,8 +8,10 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "scenario/catalog.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
 
@@ -150,7 +152,6 @@ ScenarioSpec full_spec() {
   spec.fleet.migrate_period_s = 1200.0;
   spec.fleet.migrate_gain = 0.3;
   spec.fleet.hazard_revocations = true;
-  spec.telemetry = true;
   return spec;
 }
 
@@ -244,7 +245,6 @@ TEST(ScenarioSpec, SerializePinsEveryKeyInOrder) {
       "fleet.migrate_period_s = 1200\n"
       "fleet.migrate_gain = 0.3\n"
       "fleet.hazard_revocations = true\n"
-      "telemetry = true\n"
       "supervise.enabled = true\n"
       "supervise.heartbeat_period_s = 7.5\n"
       "supervise.heartbeat_timeout_s = 45.25\n"
@@ -291,6 +291,26 @@ TEST(ScenarioSpec, CheckedInScenarioFilesParseCleanAndAreFixedPoints) {
     EXPECT_TRUE(again.ok()) << path;
     EXPECT_EQ(again.spec, result.spec) << path;
     EXPECT_EQ(serialize(again.spec), canonical) << path;
+  }
+}
+
+TEST(ScenarioSpec, CatalogBaseSpecsAreTheirCheckedInScenarioFiles) {
+  // Each file documents its catalog sweep's base scenario; they must not
+  // drift apart.
+  const std::pair<const char*, const char*> pairs[] = {
+      {"storm", "storm.scn"},
+      {"ckpt", "ckpt_tiers.scn"},
+      {"fleet", "fleet.scn"},
+      {"speed", "speed_table1.scn"}};
+  for (const auto& [sweep, file] : pairs) {
+    std::ifstream in(std::filesystem::path(CMDARE_SCENARIO_DIR) / file);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const ParseResult parsed = parse(text.str());
+    EXPECT_TRUE(parsed.ok()) << file;
+    EXPECT_EQ(serialize(sweep_by_name(sweep).sweep.base),
+              serialize(parsed.spec))
+        << sweep << " vs " << file;
   }
 }
 

@@ -214,6 +214,23 @@ TEST(ArgParser, ParsesFlagsValuesAndPositionals) {
   EXPECT_EQ(sets, (std::vector<std::string>{"a=1", "b=2"}));
 }
 
+TEST(ArgParser, GivenTellsAnExplicitValueFromTheDefault) {
+  int jobs = 0;
+  int replicas = 1;
+  bool quiet = false;
+  ArgParser args("prog", "test");
+  args.add_int("jobs", "N", "threads", &jobs);
+  args.add_int("replicas", "N", "replicas", &replicas);
+  args.add_flag("quiet", "hush", &quiet);
+  std::string error;
+  // --jobs 0 equals the default; only given() can tell it was typed.
+  ASSERT_TRUE(parse_args(args, {"--jobs", "0", "--quiet"}, &error)) << error;
+  EXPECT_TRUE(args.given("jobs"));
+  EXPECT_TRUE(args.given("quiet"));
+  EXPECT_FALSE(args.given("replicas"));
+  EXPECT_FALSE(args.given("mystery"));
+}
+
 TEST(ArgParser, ReportsErrors) {
   int jobs = 0;
   std::string error;
