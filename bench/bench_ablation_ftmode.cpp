@@ -6,10 +6,12 @@
 // chief revocations in both modes and compares completion time and the
 // number of rollbacks.
 //
-// Each arm is a kind=session scenario whose ft_mode field flips between
-// cm-dare and vanilla-tf; the adversarial churn stays hand-wired.
+// Each arm is scenarios/ftmode_churn.scn (compiled into the binary) with
+// its ft_mode field flipped between cm-dare and vanilla-tf; the
+// adversarial churn stays hand-wired.
 #include "bench_common.hpp"
 
+#include "scenario/catalog.hpp"
 #include "scenario/harness.hpp"
 
 using namespace cmdare;
@@ -24,21 +26,10 @@ struct Outcome {
   std::size_t checkpoints = 0;
 };
 
-constexpr double kSimBoundSeconds = 6.0 * 3600.0;
-
-Outcome run_mode(train::FaultToleranceMode mode, double revoke_every_s,
-                 std::uint64_t seed) {
-  scenario::ScenarioSpec spec;
-  spec.name = "ablation-ftmode";
-  spec.kind = scenario::HarnessKind::kSession;
+Outcome run_mode(scenario::ScenarioSpec spec, train::FaultToleranceMode mode,
+                 double revoke_every_s, std::uint64_t seed) {
   spec.seed = seed;
-  spec.model = "resnet-15";
-  spec.workers = {{2, cloud::GpuType::kK80, cloud::Region::kUsCentral1, true}};
-  spec.max_steps = 40000;
-  spec.checkpoint_interval_steps = 4000;
   spec.ft_mode = mode;
-  spec.horizon_hours = kSimBoundSeconds / 3600.0;
-
   scenario::SimHarness harness(spec);
   simcore::Simulator& sim = harness.simulator();
   train::TrainingSession& session = *harness.session();
@@ -67,7 +58,7 @@ Outcome run_mode(train::FaultToleranceMode mode, double revoke_every_s,
   Outcome outcome;
   outcome.finished = session.finished();
   outcome.seconds =
-      session.trace().try_time_of_step(40000).value_or(sim.now());
+      session.trace().try_time_of_step(spec.max_steps).value_or(sim.now());
   for (const auto& e : session.trace().events()) {
     if (e.type == train::SessionEventType::kRollback) ++outcome.rollbacks;
   }
@@ -82,14 +73,18 @@ int main() {
       "Ablation: fault-tolerance mode",
       "CM-DARE chief fail-over vs vanilla TensorFlow IP-reuse rollback");
 
+  const scenario::ScenarioSpec base =
+      scenario::checked_in_scenario("ftmode_churn");
+  // The spec's horizon bounds each run; a livelocked arm stops there.
+  const double bound_s = base.horizon_hours * 3600.0;
   util::Table table({"chief revoked every", "mode", "time to 40K steps",
                      "rollbacks", "checkpoints", "overhead vs CM-DARE"});
   std::uint64_t seed = 800;
   for (double period : {1200.0, 600.0, 300.0}) {
     const Outcome cmdare_run =
-        run_mode(train::FaultToleranceMode::kCmDare, period, seed);
+        run_mode(base, train::FaultToleranceMode::kCmDare, period, seed);
     const Outcome vanilla =
-        run_mode(train::FaultToleranceMode::kVanillaTf, period, seed);
+        run_mode(base, train::FaultToleranceMode::kVanillaTf, period, seed);
     seed += 2;
     const auto label = util::format_duration(period);
     table.add_row({label, "CM-DARE",
@@ -100,7 +95,7 @@ int main() {
         {"", "vanilla TF",
          vanilla.finished
              ? util::format_duration(vanilla.seconds)
-             : "DNF (> " + util::format_duration(kSimBoundSeconds) + ")",
+             : "DNF (> " + util::format_duration(bound_s) + ")",
          std::to_string(vanilla.rollbacks),
          std::to_string(vanilla.checkpoints),
          vanilla.finished

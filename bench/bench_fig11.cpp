@@ -6,10 +6,12 @@
 // not. The overhead is the difference in time-to-next-checkpoint, as a
 // function of the replacement timing.
 //
-// The session comes from a kind=session ScenarioSpec; only the
-// mid-training chief revocation is wired by hand via on_step.
+// The session is scenarios/fig11_rollback.scn (compiled into the
+// binary) at each row's seed; only the mid-training chief revocation is
+// wired by hand via on_step.
 #include "bench_common.hpp"
 
+#include "scenario/catalog.hpp"
 #include "scenario/harness.hpp"
 
 using namespace cmdare;
@@ -20,15 +22,8 @@ namespace {
 // checkpoint) is reached.
 double time_to_next_checkpoint(double replacement_delay, bool reuse_ip,
                                std::uint64_t seed) {
-  scenario::ScenarioSpec spec;
-  spec.name = "fig11";
-  spec.kind = scenario::HarnessKind::kSession;
+  scenario::ScenarioSpec spec = scenario::checked_in_scenario("fig11_rollback");
   spec.seed = seed;
-  spec.model = "resnet-15";
-  spec.workers = {{2, cloud::GpuType::kK80, cloud::Region::kUsCentral1, true}};
-  spec.max_steps = 4000;
-  spec.checkpoint_interval_steps = 4000;
-  spec.ft_mode = train::FaultToleranceMode::kVanillaTf;
 
   scenario::SimHarness harness(spec);
   simcore::Simulator& sim = harness.simulator();

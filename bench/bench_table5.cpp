@@ -2,14 +2,16 @@
 // campaign — 396 servers total, half idle and half stressed, launched in
 // daily batches at 9 AM local time and run to the 24-hour cap.
 //
-// Uses a kind=cloud scenario: the harness owns the simulator and the
-// provider (with the campaign's UTC epoch) and this file only schedules
-// the launch batches and tallies outcomes.
+// Reads the kind=cloud scenario scenarios/table5_census.scn (compiled
+// into the binary): the harness owns the simulator and the provider
+// (with the campaign's UTC epoch) and this file only schedules the
+// launch batches and tallies outcomes.
 #include "bench_common.hpp"
 
 #include <map>
 #include <utility>
 
+#include "scenario/catalog.hpp"
 #include "scenario/harness.hpp"
 
 using namespace cmdare;
@@ -29,15 +31,7 @@ int main() {
   bench::print_header("Table V",
                       "transient revocations by region and GPU, 12 days");
 
-  scenario::ScenarioSpec spec;
-  spec.name = "table5";
-  spec.kind = scenario::HarnessKind::kCloud;
-  spec.seed = 55;
-  spec.max_steps = 0;
-  // Campaign epoch chosen so sim time 0 is 9 AM in us-central1 (UTC-6).
-  spec.utc_start_hour = 15.0;
-
-  scenario::SimHarness harness(spec);
+  scenario::SimHarness harness(scenario::checked_in_scenario("table5_census"));
   simcore::Simulator& sim = harness.simulator();
   cloud::CloudProvider& provider = harness.provider();
 

@@ -1,9 +1,10 @@
 // Quickstart: simulate training ResNet-32 on a small transient GPU
 // cluster with CM-DARE's resource manager, and print what happened.
 //
-// The whole experiment is one declarative ScenarioSpec; SimHarness wires
+// The whole experiment is one declarative ScenarioSpec, read from
+// scenarios/quickstart.scn (compiled into the binary); SimHarness wires
 // the simulator, cloud provider, object store, and training run from it.
-// The same scenario lives in scenarios/quickstart.scn and can be run as
+// The same file runs as
 //   ./build/examples/scenario_runner scenarios/quickstart.scn
 //
 // Build & run:
@@ -11,6 +12,7 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
+#include "scenario/catalog.hpp"
 #include "scenario/harness.hpp"
 #include "util/strings.hpp"
 
@@ -20,15 +22,8 @@ int main() {
   // Train ResNet-32 for 20K steps on two transient K80 workers in
   // us-central1, checkpointing every 4K steps, replacing revoked workers
   // immediately (CM-DARE's default policy).
-  scenario::ScenarioSpec spec;
-  spec.name = "quickstart";
-  spec.kind = scenario::HarnessKind::kRun;
-  spec.seed = 7;
-  spec.model = "resnet-32";
-  spec.workers = {{2, cloud::GpuType::kK80, cloud::Region::kUsCentral1, true}};
-  spec.max_steps = 20000;
-  spec.checkpoint_interval_steps = 4000;
-
+  const scenario::ScenarioSpec spec =
+      scenario::checked_in_scenario("quickstart");
   scenario::SimHarness harness(spec);
   harness.training_run()->on_complete = [&] {
     std::printf("training finished at simulated t = %s\n",

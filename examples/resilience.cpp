@@ -9,45 +9,26 @@
 // region/GPU/on-demand fallback ladder, checkpoint retry-then-abandon,
 // and stale-checkpoint recovery — and still finishes training.
 //
-// The adversarial cloud is declared as a ScenarioSpec (the same scenario
-// is checked in as scenarios/resilience.scn); SimHarness does the wiring
-// the old hand-rolled version of this file used to do, with the same RNG
-// fork labels, so seed 2020 reproduces the pre-scenario-layer run
-// bit-for-bit (pinned by tests/scenario_harness_test.cpp).
+// The adversarial cloud is read from scenarios/resilience.scn (compiled
+// into the binary); SimHarness does the wiring the old hand-rolled
+// version of this file used to do, with the same RNG fork labels, so
+// seed 2020 reproduces the pre-scenario-layer run bit-for-bit (pinned by
+// tests/scenario_harness_test.cpp).
 //
 // Output: a run summary plus the faults.* / resilience.* / storage.*
 // counters recorded by the telemetry layer.
 #include <cstdio>
 
 #include "obs/obs.hpp"
+#include "scenario/catalog.hpp"
 #include "scenario/harness.hpp"
 #include "util/strings.hpp"
 
 using namespace cmdare;
 
 int main() {
-  // 20% of every fault class, plus a stockout that swallows the initial
-  // launch window for us-central1 K80s — the run must climb the fallback
-  // ladder to place its workers at all.
-  scenario::ScenarioSpec spec;
-  spec.name = "resilience-demo";
-  spec.kind = scenario::HarnessKind::kRun;
-  spec.seed = 2020;
-  spec.model = "resnet-15";
-  spec.workers = {{3, cloud::GpuType::kK80, cloud::Region::kUsCentral1, true}};
-  spec.max_steps = 2000;
-  spec.checkpoint_interval_steps = 200;
-  spec.horizon_hours = 48.0;
-  spec.faults = faults::FaultPlan::uniform(0.2);
-  faults::StockoutWindow stockout;
-  stockout.region = cloud::Region::kUsCentral1;
-  stockout.gpu = cloud::GpuType::kK80;
-  stockout.start_s = 0.0;
-  stockout.end_s = 3600.0;
-  spec.faults.stockouts.push_back(stockout);
-
   obs::ScopedTelemetry telemetry;
-  scenario::SimHarness harness(spec);
+  scenario::SimHarness harness(scenario::checked_in_scenario("resilience"));
   const scenario::ScenarioResult result = harness.run();
 
   const core::TransientTrainingRun& run = *harness.training_run();

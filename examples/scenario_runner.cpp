@@ -24,15 +24,16 @@
 //
 // Discovery:
 //   --list          print the named-campaign catalog plus every checked-in
-//                   scenarios/*.scn file with a one-line description
-#include <algorithm>
+//                   scenarios/*.scn file (compiled into the binary, so
+//                   this works from any directory) with a one-line
+//                   description
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "obs/analyze.hpp"
 #include "scenario/catalog.hpp"
@@ -82,21 +83,19 @@ int emit_observability(obs::Telemetry* telemetry, const std::string& ledger_path
 }
 
 /// First `# ...` comment line of a .scn file, as its catalog description.
-std::string scn_description(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string trimmed = std::string(util::trim(line));
+std::string scn_description(std::string_view text) {
+  for (const std::string& line : util::split(text, '\n')) {
+    const std::string_view trimmed = util::trim(line);
     if (trimmed.empty()) continue;
     if (trimmed[0] != '#') break;  // spec body reached: no description
-    const std::string text = std::string(util::trim(trimmed.substr(1)));
-    if (!text.empty()) return text;
+    const std::string_view description = util::trim(trimmed.substr(1));
+    if (!description.empty()) return std::string(description);
   }
   return "";
 }
 
 /// `--list`: the named campaign/sweep catalog, then every checked-in
-/// scenarios/*.scn (searched relative to the working directory).
+/// scenarios/*.scn.
 int print_catalog_listing() {
   util::Table campaigns({"campaign", "cells", "replicas", "description"});
   for (const scenario::NamedScenarioSweep& s : scenario::named_sweeps()) {
@@ -107,22 +106,10 @@ int print_catalog_listing() {
   campaigns.set_title("Named campaigns (run with cmdare_campaign <name>):");
   campaigns.render(std::cout);
 
-  const std::filesystem::path dir = "scenarios";
-  std::vector<std::filesystem::path> files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.path().extension() == ".scn") files.push_back(entry.path());
-  }
-  if (ec) {
-    std::printf("\n(no %s directory here — run from the repo root to list "
-                "checked-in scenario files)\n",
-                dir.string().c_str());
-    return 0;
-  }
-  std::sort(files.begin(), files.end());
   util::Table scenarios({"file", "description"});
-  for (const std::filesystem::path& file : files) {
-    scenarios.add_row({file.string(), scn_description(file)});
+  for (const scenario::ScenarioFile& file : scenario::scenario_files()) {
+    scenarios.add_row({"scenarios/" + std::string(file.stem) + ".scn",
+                       scn_description(file.text)});
   }
   scenarios.set_title("Scenario files (run with scenario_runner <file>):");
   std::printf("\n");

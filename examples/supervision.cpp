@@ -15,42 +15,23 @@
 // are ordered by health score, and each replacement is hedged (two
 // launches, loser cancelled, both billed).
 //
-// The same scenario is checked in as scenarios/supervise.scn.
+// The run is read from scenarios/supervise.scn (compiled into the
+// binary).
 //
 // Output: a run summary plus the supervise.* counters recorded by the
 // telemetry layer.
 #include <cstdio>
 
 #include "obs/obs.hpp"
+#include "scenario/catalog.hpp"
 #include "scenario/harness.hpp"
 #include "util/strings.hpp"
 
 using namespace cmdare;
 
 int main() {
-  scenario::ScenarioSpec spec;
-  spec.name = "supervise-demo";
-  spec.kind = scenario::HarnessKind::kRun;
-  spec.seed = 2031;
-  spec.model = "resnet-15";
-  // europe-west1 K80s die young (>50% revoked within two hours), so a
-  // multi-hour run exercises detection repeatedly without any injected
-  // hazard inflation.
-  spec.workers = {
-      {3, cloud::GpuType::kK80, cloud::Region::kEuropeWest1, true}};
-  spec.max_steps = 200000;
-  spec.checkpoint_interval_steps = 2000;
-  spec.horizon_hours = 24.0;
-  spec.faults.abrupt_kill_rate = 1.0;
-  spec.supervision.enabled = true;
-  spec.supervision.heartbeat.period_s = 15.0;
-  spec.supervision.heartbeat.timeout_s = 120.0;
-  spec.supervision.checkpoint.retune_period_s = 1800.0;
-  spec.supervision.score_replacement = true;
-  spec.supervision.hedged_replacement = true;
-
   obs::ScopedTelemetry telemetry;
-  scenario::SimHarness harness(spec);
+  scenario::SimHarness harness(scenario::checked_in_scenario("supervise"));
   const scenario::ScenarioResult result = harness.run();
 
   const core::TransientTrainingRun& run = *harness.training_run();

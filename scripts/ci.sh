@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 (full build + full ctest), the fault/supervise/
-# obs/fleet/simcore/exp/ckpt/codec label suites rebuilt under
+# obs/fleet/simcore/exp/ckpt/codec/smoke label suites rebuilt under
 # AddressSanitizer, and the concurrency-heavy tests (obs, campaign engine,
 # journal resume, catalog and resilience sweeps, generic scenario sweeps on
 # the shared default metric list, supervised sweeps, fleet campaigns)
@@ -9,7 +9,10 @@
 # handles — lifetime bugs there are exactly what the sanitizers exist to
 # catch. The codec label (the spec parser plus the random-bytes
 # SpecParseFuzz and LedgerFuzz) rides along too: parsers fed arbitrary
-# bytes are where out-of-bounds reads hide. The perf-snapshot gate
+# bytes are where out-of-bounds reads hide. The smoke label (the three
+# demos and three benches that read compiled-in scenario files, each of
+# which must exit 0) rides along so their whole runs are checked for
+# memory errors as well. The perf-snapshot gate
 # (--bench) is explicit only: it re-runs bench_snapshot against the
 # checked-in BENCH_*.json and fails on a regression beyond the tolerance
 # band.
@@ -59,11 +62,11 @@ if $run_tier1; then
 fi
 
 if $run_asan; then
-  echo "=== asan: faults + supervise + obs + fleet + simcore + exp + ckpt + codec labels under AddressSanitizer ==="
+  echo "=== asan: faults + supervise + obs + fleet + simcore + exp + ckpt + codec + smoke labels under AddressSanitizer ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMDARE_SANITIZE=address
   cmake --build build-asan -j "$jobs"
-  ctest --test-dir build-asan -L 'faults|supervise|obs|fleet|simcore|exp|ckpt|codec' \
+  ctest --test-dir build-asan -L 'faults|supervise|obs|fleet|simcore|exp|ckpt|codec|smoke' \
     --output-on-failure -j "$jobs"
 fi
 

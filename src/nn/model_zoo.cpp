@@ -163,17 +163,20 @@ std::vector<CnnModel> custom_models() {
   return models;
 }
 
-std::vector<CnnModel> all_models() {
-  std::vector<CnnModel> models = canonical_models();
-  std::vector<CnnModel> custom = custom_models();
-  models.insert(models.end(), std::make_move_iterator(custom.begin()),
+const std::vector<CnnModel>& all_models() {
+  static const std::vector<CnnModel> models = [] {
+    std::vector<CnnModel> list = canonical_models();
+    std::vector<CnnModel> custom = custom_models();
+    list.insert(list.end(), std::make_move_iterator(custom.begin()),
                 std::make_move_iterator(custom.end()));
+    return list;
+  }();
   return models;
 }
 
-CnnModel model_by_name(const std::string& name) {
-  for (CnnModel& m : all_models()) {
-    if (m.name() == name) return std::move(m);
+const CnnModel& model_by_name(const std::string& name) {
+  for (const CnnModel& m : all_models()) {
+    if (m.name() == name) return m;
   }
   throw std::invalid_argument("model_by_name: unknown model " + name);
 }

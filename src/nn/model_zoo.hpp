@@ -39,10 +39,12 @@ std::vector<CnnModel> canonical_models();
 /// families, complexities spanning ~0.2 to ~27 GFLOPs).
 std::vector<CnnModel> custom_models();
 
-/// All twenty models, canonical first.
-std::vector<CnnModel> all_models();
+/// All twenty models, canonical first: one immutable table, built on
+/// first use and shared by every caller (and thread) after that.
+const std::vector<CnnModel>& all_models();
 
-/// Looks up any zoo model by name; throws std::invalid_argument if absent.
-CnnModel model_by_name(const std::string& name);
+/// Looks up any zoo model by name in all_models(), without building one;
+/// throws std::invalid_argument if absent.
+const CnnModel& model_by_name(const std::string& name);
 
 }  // namespace cmdare::nn

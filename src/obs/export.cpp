@@ -1,12 +1,15 @@
 #include "obs/export.hpp"
 
-#include <cstdio>
 #include <ostream>
+#include <string>
 
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace cmdare::obs {
 namespace {
+
+using util::json::escape;
 
 constexpr double kMicrosPerSecond = 1e6;
 
@@ -29,9 +32,9 @@ std::string json_args(const LabelSet& args) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += json_escape(key);
+    out += escape(key);
     out += "\":\"";
-    out += json_escape(value);
+    out += escape(value);
     out += '"';
   }
   out += '}';
@@ -41,46 +44,12 @@ std::string json_args(const LabelSet& args) {
 void write_event_common(std::ostream& out, const std::string& name,
                         const std::string& category, std::uint32_t track,
                         double ts_us) {
-  out << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
-      << json_escape(category.empty() ? "default" : category)
+  out << "{\"name\":\"" << escape(name) << "\",\"cat\":\""
+      << escape(category.empty() ? "default" : category)
       << "\",\"pid\":1,\"tid\":" << track << ",\"ts\":" << json_number(ts_us);
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
@@ -97,7 +66,7 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
   for (std::uint32_t id = 0; id < tracks.size(); ++id) {
     separator();
     out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << id
-        << ",\"args\":{\"name\":\"" << json_escape(tracks[id]) << "\"}}";
+        << ",\"args\":{\"name\":\"" << escape(tracks[id]) << "\"}}";
   }
 
   std::uint64_t next_async_id = 1;
@@ -131,7 +100,7 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
 
   for (const CounterSample& sample : tracer.counter_samples()) {
     separator();
-    out << "{\"name\":\"" << json_escape(sample.name)
+    out << "{\"name\":\"" << escape(sample.name)
         << "\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":"
         << json_number(sample.at * kMicrosPerSecond)
         << ",\"args\":{\"value\":" << json_number(sample.value) << "}}";
@@ -146,23 +115,23 @@ void write_trace_jsonl(const Tracer& tracer, std::ostream& out) {
     return id < tracks.size() ? tracks[id] : std::string("?");
   };
   for (const SpanRecord& span : tracer.spans()) {
-    out << "{\"type\":\"span\",\"name\":\"" << json_escape(span.name)
-        << "\",\"category\":\"" << json_escape(span.category)
-        << "\",\"track\":\"" << json_escape(track_name(span.track))
+    out << "{\"type\":\"span\",\"name\":\"" << escape(span.name)
+        << "\",\"category\":\"" << escape(span.category)
+        << "\",\"track\":\"" << escape(track_name(span.track))
         << "\",\"begin_s\":" << json_number(span.begin)
         << ",\"end_s\":" << json_number(span.end)
         << ",\"duration_s\":" << json_number(span.duration())
         << ",\"args\":" << json_args(span.args) << "}\n";
   }
   for (const InstantRecord& instant : tracer.instants()) {
-    out << "{\"type\":\"instant\",\"name\":\"" << json_escape(instant.name)
-        << "\",\"category\":\"" << json_escape(instant.category)
-        << "\",\"track\":\"" << json_escape(track_name(instant.track))
+    out << "{\"type\":\"instant\",\"name\":\"" << escape(instant.name)
+        << "\",\"category\":\"" << escape(instant.category)
+        << "\",\"track\":\"" << escape(track_name(instant.track))
         << "\",\"at_s\":" << json_number(instant.at)
         << ",\"args\":" << json_args(instant.args) << "}\n";
   }
   for (const CounterSample& sample : tracer.counter_samples()) {
-    out << "{\"type\":\"counter\",\"name\":\"" << json_escape(sample.name)
+    out << "{\"type\":\"counter\",\"name\":\"" << escape(sample.name)
         << "\",\"at_s\":" << json_number(sample.at)
         << ",\"value\":" << json_number(sample.value) << "}\n";
   }

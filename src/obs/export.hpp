@@ -12,16 +12,10 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
-#include <string_view>
 
 #include "obs/trace.hpp"
 
 namespace cmdare::obs {
-
-/// Escapes `s` for embedding in a JSON string literal (RFC 8259): quote,
-/// backslash, and control characters.
-std::string json_escape(std::string_view s);
 
 void write_chrome_trace(const Tracer& tracer, std::ostream& out);
 

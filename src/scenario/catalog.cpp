@@ -21,6 +21,12 @@ const cloud::RevocationModel& revocation_model() {
 /// Revocation samples each census replica draws.
 constexpr int kSamplesPerReplica = 50;
 
+/// Every checked-in scenarios/*.scn, sorted by stem (generated at
+/// configure time; see CMakeLists.txt).
+constexpr ScenarioFile kScenarioFiles[] = {
+#include "scenario_files.inc"
+};
+
 /// One `1 x <gpu> @ <region>` pool per (region, GPU) pair, region-major.
 std::vector<std::string> every_pool() {
   std::vector<std::string> pools;
@@ -34,6 +40,24 @@ std::vector<std::string> every_pool() {
 }
 
 }  // namespace
+
+std::span<const ScenarioFile> scenario_files() { return kScenarioFiles; }
+
+ScenarioSpec checked_in_scenario(std::string_view stem) {
+  for (const ScenarioFile& file : kScenarioFiles) {
+    if (file.stem != stem) continue;
+    ParseResult parsed = parse(file.text);
+    if (!parsed.ok()) {
+      const Diagnostic& first = parsed.diagnostics.front();
+      throw std::invalid_argument("scenarios/" + std::string(stem) + ".scn:" +
+                                  std::to_string(first.line) + ": " +
+                                  first.message);
+    }
+    return std::move(parsed.spec);
+  }
+  throw std::invalid_argument("checked_in_scenario: no scenarios/" +
+                              std::string(stem) + ".scn");
+}
 
 exp::ReplicaResult lifetime_replica(const ScenarioCell& cell, int /*replica*/,
                                     util::Rng& rng,
@@ -69,18 +93,6 @@ exp::ReplicaResult launch_replica(const ScenarioCell& cell, int /*replica*/,
   return result;
 }
 
-ScenarioSpec speed_scenario() {
-  ScenarioSpec spec;
-  spec.name = "speed";
-  spec.kind = HarnessKind::kSession;
-  spec.seed = 42;
-  spec.model = "resnet-15";
-  spec.workers = {{1, cloud::GpuType::kK80, cloud::Region::kUsCentral1,
-                   true}};
-  spec.max_steps = 800;
-  return spec;
-}
-
 exp::ReplicaResult speed_replica(const ScenarioCell& cell, int /*replica*/,
                                  util::Rng& rng,
                                  obs::Telemetry* /*telemetry*/) {
@@ -98,176 +110,6 @@ exp::ReplicaResult speed_replica(const ScenarioCell& cell, int /*replica*/,
     result.observe("step_ms", 1000.0 * stats::mean(intervals));
   }
   return result;
-}
-
-ScenarioSpec resilience_scenario() {
-  ScenarioSpec spec;
-  spec.name = "resilience";
-  spec.kind = HarnessKind::kRun;
-  spec.seed = 77;
-  spec.model = "resnet-15";
-  spec.workers = {{2, cloud::GpuType::kK80, cloud::Region::kUsCentral1,
-                   true}};
-  spec.max_steps = 400;
-  spec.checkpoint_interval_steps = 100;
-  spec.horizon_hours = 48.0;
-
-  // The adversarial cloud: the sweep's fault_rate axis sets uniform
-  // rates across every injection site, and one early capacity stockout
-  // of the workers' pool is long enough that backoff alone cannot wait
-  // it out (stockouts_before_fallback retries reach the ladder first).
-  // Fault-free runs finish before it opens.
-  faults::StockoutWindow window;
-  window.region = cloud::Region::kUsCentral1;
-  window.gpu = cloud::GpuType::kK80;
-  window.start_s = 300.0;
-  window.end_s = 2100.0;
-  spec.faults.stockouts.push_back(window);
-  return spec;
-}
-
-ScenarioSpec detection_scenario() {
-  ScenarioSpec spec;
-  spec.name = "detection";
-  spec.kind = HarnessKind::kRun;
-  spec.seed = 2031;
-  spec.model = "resnet-15";
-  // europe-west1 K80s are the paper's die-young pool (>50% revoked within
-  // two hours), so a multi-hour run observes revocations without any
-  // injected hazard inflation; abrupt_kill_rate strips the notices.
-  spec.workers = {{3, cloud::GpuType::kK80, cloud::Region::kEuropeWest1,
-                   true}};
-  spec.max_steps = 200000;
-  spec.checkpoint_interval_steps = 2000;
-  spec.horizon_hours = 24.0;
-  spec.faults.abrupt_kill_rate = 1.0;
-  spec.supervision.enabled = true;
-  spec.supervision.heartbeat.period_s = 15.0;
-  spec.supervision.heartbeat.timeout_s = 120.0;
-  return spec;
-}
-
-ScenarioSpec fleet_scenario() {
-  ScenarioSpec spec;
-  spec.name = "fleet";
-  spec.kind = HarnessKind::kFleet;
-  spec.seed = 2020;
-  spec.model = "resnet-15";
-  spec.horizon_hours = 12.0;
-  spec.fleet.tenants = 256;
-  spec.fleet.workers_per_tenant = 2;
-  spec.fleet.min_steps = 20000;
-  spec.fleet.max_steps = 80000;
-  spec.fleet.checkpoint_interval_steps = 2000;
-  spec.fleet.checkpoint_seconds = 10.0;
-  spec.fleet.restore_seconds = 30.0;
-  spec.fleet.deadline_hours = 8.0;
-  spec.fleet.model_mix = true;
-  spec.fleet.capacity_per_pool = 24;
-  spec.fleet.scheduler = fleet::SchedulerPolicy::kCostOptimal;
-  return spec;
-}
-
-ScenarioSpec storm_scenario() {
-  ScenarioSpec spec;
-  spec.name = "storm";
-  spec.kind = HarnessKind::kRun;
-  spec.seed = 909;
-  spec.model = "resnet-15";
-  spec.workers = {{4, cloud::GpuType::kK80, cloud::Region::kUsCentral1,
-                   true}};
-  // ~32 steps/s at full strength: the storm lands mid-run and the
-  // post-tail regrow window still matters before the target is hit.
-  spec.max_steps = 600000;
-  spec.checkpoint_interval_steps = 10000;
-  spec.horizon_hours = 12.0;
-
-  // One correlated storm an hour in: a mass-revocation burst followed by
-  // a 90-minute stockout tail with inflated hazard and slowed startups.
-  // The sweep's `storms` axis overrides this with its intensity grid.
-  faults::OutageStorm storm;
-  storm.region = cloud::Region::kUsCentral1;
-  storm.gpu = cloud::GpuType::kK80;
-  storm.start_s = 3600.0;
-  storm.end_s = 9000.0;
-  storm.kill_fraction = 0.6;
-  storm.hazard_multiplier = 4.0;
-  storm.startup_slowdown = 2.0;
-  spec.faults.storms.push_back(storm);
-
-  // No fallback ladder: the study isolates membership policy, so a
-  // stockout either retries into the struck pool (1-for-1 arm, which
-  // exhausts max_launch_attempts and abandons the slot) or defers the
-  // slot through the breaker (elastic arm).
-  spec.resilience.allow_region_fallback = false;
-  spec.resilience.allow_gpu_fallback = false;
-  spec.resilience.allow_on_demand_fallback = false;
-
-  spec.supervision.enabled = true;
-  spec.supervision.heartbeat.period_s = 15.0;
-  spec.supervision.heartbeat.timeout_s = 120.0;
-  // Elastic off in the base; the sweep axis flips it. The knobs below
-  // are shared by both arms so the axis isolates the policy itself.
-  spec.supervision.elastic.enabled = false;
-  spec.supervision.elastic.min_workers = 1;
-  spec.supervision.elastic.grow_hysteresis_s = 120.0;
-  spec.supervision.elastic.futility_threshold = 0.5;
-  return spec;
-}
-
-ScenarioSpec ckpt_scenario() {
-  ScenarioSpec spec;
-  spec.name = "ckpt_tiers";
-  spec.kind = HarnessKind::kRun;
-  spec.seed = 1111;
-  spec.model = "resnet-15";
-  spec.workers = {{3, cloud::GpuType::kK80, cloud::Region::kUsCentral1,
-                   true}};
-  // Short enough that one replica stays cheap, long enough that several
-  // checkpoint generations accumulate and revocations force restores
-  // through the verify/fallback path.
-  spec.max_steps = 200000;
-  spec.checkpoint_interval_steps = 8000;
-  spec.horizon_hours = 8.0;
-  // Vanilla TF so chief revocations force rollbacks to the newest
-  // *restorable* checkpoint — the exact moment the plane's end-to-end
-  // verification and generational fallback earn their keep.
-  spec.ft_mode = train::FaultToleranceMode::kVanillaTf;
-
-  // Cloud faults drive restores; storage faults decide whether the
-  // restored bytes can be trusted. The sweep's ckpt.bit_rot_rate axis
-  // overrides the rot pressure per cell.
-  spec.faults = faults::FaultPlan::uniform(0.1);
-  spec.faults.bit_rot_rate = 0.02;
-  spec.faults.torn_write_rate = 0.02;
-
-  // One correlated burst an hour in guarantees chief-killing revocations
-  // (and therefore restores) at every replica; the natural K80 hazard
-  // alone leaves short runs untouched at many seeds.
-  faults::OutageStorm storm;
-  storm.region = cloud::Region::kUsCentral1;
-  storm.gpu = cloud::GpuType::kK80;
-  storm.start_s = 3600.0;
-  storm.end_s = 5400.0;
-  storm.kill_fraction = 0.7;
-  storm.hazard_multiplier = 2.0;
-  storm.startup_slowdown = 1.5;
-  spec.faults.storms.push_back(storm);
-
-  // A mid-run regional outage: bases live on the regional tier, so
-  // restores inside the window must skip (not quarantine) the newest
-  // generation and either fall back or retry after the window.
-  faults::TierOutageWindow outage;
-  outage.tier = cloud::StorageTier::kRegional;
-  outage.start_s = 7200.0;
-  outage.end_s = 10800.0;
-  spec.faults.tier_outages.push_back(outage);
-
-  spec.ckpt.enabled = true;
-  spec.ckpt.delta_ratio = 0.12;
-  spec.ckpt.max_delta_chain = 4;
-  spec.ckpt.max_generations = 3;
-  return spec;
 }
 
 const std::vector<NamedScenarioSweep>& named_sweeps() {
@@ -315,7 +157,7 @@ const std::vector<NamedScenarioSweep>& named_sweeps() {
           "Tables I/III: training speed distributions per (GPU, cluster "
           "size) for ResNet-15/32, one PS";
       s.sweep.name = s.name;
-      s.sweep.base = speed_scenario();
+      s.sweep.base = checked_in_scenario("speed_table1");
       s.sweep.axes = {{"workers",
                        {"1 x K80 @ us-central1", "4 x K80 @ us-central1",
                         "1 x P100 @ us-central1", "4 x P100 @ us-central1",
@@ -334,7 +176,7 @@ const std::vector<NamedScenarioSweep>& named_sweeps() {
           "Degradation curves under injected cloud faults: completion "
           "rate, makespan, cost and retry/fallback counts vs fault rate";
       s.sweep.name = s.name;
-      s.sweep.base = resilience_scenario();
+      s.sweep.base = checked_in_scenario("resilience_campaign");
       s.sweep.axes = {{"fault_rate", {"0", "0.05", "0.1", "0.2"}}};
       s.sweep.replicas = 8;
       s.sweep.seed = 77;
@@ -353,7 +195,7 @@ const std::vector<NamedScenarioSweep>& named_sweeps() {
           "Supervision study: time-to-recovery and detection latency vs "
           "heartbeat timeout under notice-less revocations";
       s.sweep.name = s.name;
-      s.sweep.base = detection_scenario();
+      s.sweep.base = checked_in_scenario("detection");
       s.sweep.axes = {
           {"supervise.heartbeat_timeout_s", {"60", "300", "900"}},
           {"abrupt_kill_rate", {"0.5", "1"}},
@@ -382,7 +224,7 @@ const std::vector<NamedScenarioSweep>& named_sweeps() {
           "eviction mix vs tenant count, demand intensity and scheduler "
           "policy";
       s.sweep.name = s.name;
-      s.sweep.base = fleet_scenario();
+      s.sweep.base = checked_in_scenario("fleet");
       s.sweep.axes = {
           {"fleet.tenants", {"128", "256"}},
           {"fleet.demand", {"0.5", "1", "2"}},
@@ -406,7 +248,7 @@ const std::vector<NamedScenarioSweep>& named_sweeps() {
           "elastic degraded-mode training vs 1-for-1 replacement under "
           "outage storms of rising intensity";
       s.sweep.name = s.name;
-      s.sweep.base = storm_scenario();
+      s.sweep.base = checked_in_scenario("storm");
       s.sweep.axes = {
           {"storms",
            {"us-central1/K80 @ 3600..9000 kill=0.5 hazard=4 slow=2",
@@ -436,7 +278,7 @@ const std::vector<NamedScenarioSweep>& named_sweeps() {
           "cold-restart mix and tier spend for the generational plane vs "
           "flat checkpoints as silent-corruption pressure rises";
       s.sweep.name = s.name;
-      s.sweep.base = ckpt_scenario();
+      s.sweep.base = checked_in_scenario("ckpt_tiers");
       s.sweep.axes = {
           {"ckpt.enabled", {"false", "true"}},
           {"ckpt.bit_rot_rate", {"0", "0.05", "0.2"}},

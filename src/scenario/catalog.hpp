@@ -1,6 +1,11 @@
 // Named Monte-Carlo campaigns: the paper's measurement studies as
 // ScenarioSweep entries over one engine.
 //
+// The checked-in scenarios/*.scn are compiled into this library
+// (scenario_files()). The six harness sweeps below take their base spec
+// from one through checked_in_scenario(), as do three demos and three
+// benches.
+//
 // Each entry pairs a base ScenarioSpec and its sweep axes with the
 // replica that realizes one independent sample of the study — the
 // Figure 8 / Table V lifetime census, the launch-placement grid behind
@@ -18,7 +23,9 @@
 // through the parallel engine.
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/campaign.hpp"
@@ -26,6 +33,19 @@
 #include "scenario/sweep.hpp"
 
 namespace cmdare::scenario {
+
+/// One checked-in scenarios/<stem>.scn, compiled into the library.
+struct ScenarioFile {
+  std::string_view stem, text;
+};
+
+/// Every checked-in scenario file, sorted by stem.
+std::span<const ScenarioFile> scenario_files();
+
+/// Parses scenarios/<stem>.scn. Throws std::invalid_argument for an
+/// unknown stem, or with the file's first diagnostic as
+/// "scenarios/<stem>.scn:<line>: <message>".
+ScenarioSpec checked_in_scenario(std::string_view stem);
 
 /// A catalog entry: a base ScenarioSpec plus set_field axes, and the
 /// replica that turns one cell into observations (set on every entry, so
@@ -64,37 +84,5 @@ exp::ReplicaResult launch_replica(const ScenarioCell& cell, int replica,
 /// "steps_per_s" and "step_ms" (per-worker mean).
 exp::ReplicaResult speed_replica(const ScenarioCell& cell, int replica,
                                  util::Rng& rng, obs::Telemetry* telemetry);
-
-/// The base spec behind the `speed` sweep: one PS, one us-central1 K80
-/// worker on ResNet-15 for 800 steps (the axes set pool and model).
-ScenarioSpec speed_scenario();
-
-/// The base spec behind the `resilience` sweep: two us-central1 K80s,
-/// 400 steps with a checkpoint every 100, a 48 h horizon, and one
-/// 30-minute K80 capacity stockout from t=300 s, long enough that
-/// backoff alone cannot wait it out.
-ScenarioSpec resilience_scenario();
-
-/// The base spec behind the `detection` sweep, exposed for tests that
-/// want to shrink the grid (fewer replicas, fewer timeout values).
-ScenarioSpec detection_scenario();
-
-/// The base spec behind the `fleet` sweep and scenarios/fleet.scn: 256
-/// tenants on the full 12-pool market, mixed canonical models, a 12 h
-/// horizon against an 8 h deadline. Exposed so tests can shrink it.
-ScenarioSpec fleet_scenario();
-
-/// The base spec behind the `storm` sweep and scenarios/storm.scn: four
-/// us-central1 K80s, one 0.6-kill storm with a 90-minute stockout tail,
-/// supervision on, elastic off (the sweep axis flips it). Exposed so
-/// tests can shrink it.
-ScenarioSpec storm_scenario();
-
-/// The base spec behind the `ckpt` sweep and scenarios/ckpt_tiers.scn:
-/// three us-central1 K80s with uniform cloud faults plus write-time
-/// bit rot, torn writes and a mid-run regional-tier outage; the plane
-/// enabled with a 4-delta chain over 3 retained generations. Exposed so
-/// tests can shrink it.
-ScenarioSpec ckpt_scenario();
 
 }  // namespace cmdare::scenario

@@ -364,7 +364,7 @@ TEST(CkptPlane, LedgerEventsAndAnalyzerRollup) {
 /// The catalog's ckpt scenario shrunk for tests: shorter run, compressed
 /// storm, same tiers/rates.
 scenario::ScenarioSpec shrunk_ckpt_scenario() {
-  scenario::ScenarioSpec spec = scenario::ckpt_scenario();
+  scenario::ScenarioSpec spec = scenario::checked_in_scenario("ckpt_tiers");
   spec.max_steps = 100000;
   spec.checkpoint_interval_steps = 4000;
   spec.horizon_hours = 6.0;

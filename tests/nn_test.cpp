@@ -138,6 +138,11 @@ TEST(ModelZoo, LookupByName) {
   EXPECT_THROW(model_by_name("alexnet"), std::invalid_argument);
 }
 
+TEST(ModelZoo, LookupsShareOneTable) {
+  EXPECT_EQ(&all_models(), &all_models());
+  EXPECT_EQ(&model_by_name("resnet-32"), &all_models()[1]);
+}
+
 TEST(ModelZoo, BuildersValidate) {
   EXPECT_THROW(make_resnet("x", 0, 16), std::invalid_argument);
   EXPECT_THROW(make_shake_shake("x", 4, 0), std::invalid_argument);

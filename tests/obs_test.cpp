@@ -19,6 +19,7 @@
 #include "obs/trace.hpp"
 #include "train/session.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 
 namespace cmdare {
 namespace {
@@ -451,10 +452,11 @@ TEST(Tracer, MergeSharesTracksWithoutPrefixAndSkipsOpenSpans) {
 // --- exporters ---
 
 TEST(Export, JsonEscape) {
-  EXPECT_EQ(obs::json_escape("plain"), "plain");
-  EXPECT_EQ(obs::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(obs::json_escape("x\ny"), "x\\ny");
-  EXPECT_EQ(obs::json_escape(std::string("\x01", 1)), "\\u0001");
+  EXPECT_EQ(util::json::escape("plain"), "plain");
+  EXPECT_EQ(util::json::escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(util::json::escape("x\ny"), "x\\ny");
+  EXPECT_EQ(util::json::escape("\b\f\t"), "\\b\\f\\t");
+  EXPECT_EQ(util::json::escape(std::string("\x01", 1)), "\\u0001");
 }
 
 TEST(Export, ChromeTraceIsValidJson) {

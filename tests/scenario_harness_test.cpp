@@ -9,8 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -26,27 +24,11 @@
 namespace cmdare::scenario {
 namespace {
 
-/// The exact scenario examples/resilience.cpp used to hand-wire: 20%
-/// uniform faults plus a one-hour K80 stockout in us-central1, three
-/// transient K80 workers, 2000 steps, checkpoint every 200.
+/// The resilience demo's scenario (scenarios/resilience.scn): 20% uniform
+/// faults plus a one-hour K80 stockout in us-central1, three transient
+/// K80 workers, 2000 steps, checkpoint every 200.
 ScenarioSpec resilience_demo_spec() {
-  ScenarioSpec spec;
-  spec.name = "resilience-demo";
-  spec.kind = HarnessKind::kRun;
-  spec.seed = 2020;
-  spec.model = "resnet-15";
-  spec.workers = {{3, cloud::GpuType::kK80, cloud::Region::kUsCentral1, true}};
-  spec.max_steps = 2000;
-  spec.checkpoint_interval_steps = 200;
-  spec.horizon_hours = 48.0;
-  spec.faults = faults::FaultPlan::uniform(0.2);
-  faults::StockoutWindow stockout;
-  stockout.region = cloud::Region::kUsCentral1;
-  stockout.gpu = cloud::GpuType::kK80;
-  stockout.start_s = 0.0;
-  stockout.end_s = 3600.0;
-  spec.faults.stockouts.push_back(stockout);
-  return spec;
+  return checked_in_scenario("resilience");
 }
 
 TEST(SimHarness, ReproducesPreRefactorResilienceDemoAtSeed2020) {
@@ -67,18 +49,6 @@ TEST(SimHarness, ReproducesPreRefactorResilienceDemoAtSeed2020) {
   EXPECT_EQ(result.replacements, 0);
   EXPECT_EQ(result.checkpoint_blobs, 8u);
   EXPECT_EQ(result.faults_injected, 11u);
-}
-
-TEST(SimHarness, ResilienceDemoSpecIsTheCheckedInScenarioFile) {
-  // scenarios/resilience.scn documents these seed-2020 goldens, so the
-  // file and the C++ spec they are pinned on must not drift apart.
-  std::ifstream in(std::filesystem::path(CMDARE_SCENARIO_DIR) /
-                   "resilience.scn");
-  std::ostringstream text;
-  text << in.rdbuf();
-  const ParseResult parsed = parse(text.str());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(serialize(resilience_demo_spec()), serialize(parsed.spec));
 }
 
 TEST(SimHarness, SupervisionKeysUnsetPreserveSeed2020Goldens) {
@@ -263,7 +233,7 @@ TEST(ScenarioResult, TablePinsTheUngroupedRowsOfTheSeed2020Demo) {
 
 /// The elastic run of StormScenario.ElasticRunShrinksAndRegrows.
 ScenarioSpec elastic_storm_spec() {
-  ScenarioSpec spec = storm_scenario();
+  ScenarioSpec spec = checked_in_scenario("storm");
   spec.max_steps = 120000;
   spec.checkpoint_interval_steps = 4000;
   spec.horizon_hours = 6.0;
@@ -317,7 +287,7 @@ TEST(ScenarioResult, TablePinsTheElasticAndOutageSectionsOfAStormRun) {
 
 /// The ckpt sweep's base spec shrunk as ckpt_test shrinks it.
 ScenarioSpec shrunk_ckpt_spec() {
-  ScenarioSpec spec = ckpt_scenario();
+  ScenarioSpec spec = checked_in_scenario("ckpt_tiers");
   spec.max_steps = 100000;
   spec.checkpoint_interval_steps = 4000;
   spec.horizon_hours = 6.0;
@@ -412,7 +382,7 @@ constexpr const char* kFleetTable = &R"TABLE(
 )TABLE"[1];
 
 TEST(ScenarioResult, TablePinsTheFleetSectionOfASmallFleet) {
-  ScenarioSpec spec = fleet_scenario();
+  ScenarioSpec spec = checked_in_scenario("fleet");
   spec.fleet.tenants = 32;
   spec.fleet.min_steps = 2000;
   spec.fleet.max_steps = 8000;

@@ -6,9 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "scenario/catalog.hpp"
@@ -294,24 +295,24 @@ TEST(ScenarioSpec, CheckedInScenarioFilesParseCleanAndAreFixedPoints) {
   }
 }
 
-TEST(ScenarioSpec, CatalogBaseSpecsAreTheirCheckedInScenarioFiles) {
-  // Each file documents its catalog sweep's base scenario; they must not
-  // drift apart.
-  const std::pair<const char*, const char*> pairs[] = {
-      {"storm", "storm.scn"},
-      {"ckpt", "ckpt_tiers.scn"},
-      {"fleet", "fleet.scn"},
-      {"speed", "speed_table1.scn"}};
-  for (const auto& [sweep, file] : pairs) {
-    std::ifstream in(std::filesystem::path(CMDARE_SCENARIO_DIR) / file);
+TEST(ScenarioSpec, CompiledInScenarioFilesAreTheCheckedInBytes) {
+  // The configure-time embedding must neither drop a file nor rewrite a
+  // byte (a `\`, `@` or `;` in CMake's hands).
+  std::map<std::string, std::string> on_disk;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CMDARE_SCENARIO_DIR)) {
+    if (entry.path().extension() != ".scn") continue;
+    std::ifstream in(entry.path());
     std::ostringstream text;
     text << in.rdbuf();
-    const ParseResult parsed = parse(text.str());
-    EXPECT_TRUE(parsed.ok()) << file;
-    EXPECT_EQ(serialize(sweep_by_name(sweep).sweep.base),
-              serialize(parsed.spec))
-        << sweep << " vs " << file;
+    on_disk[entry.path().stem().string()] = text.str();
   }
+  std::map<std::string, std::string> compiled_in;
+  for (const ScenarioFile& file : scenario_files()) {
+    compiled_in[std::string(file.stem)] = std::string(file.text);
+  }
+  EXPECT_EQ(compiled_in, on_disk);
+  EXPECT_THROW(checked_in_scenario("no_such_file"), std::invalid_argument);
 }
 
 TEST(ScenarioSpec, RoundTripSurvivesNoisyFormatting) {

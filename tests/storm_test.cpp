@@ -484,7 +484,7 @@ scenario::ScenarioCampaignResult run_storm_sweep(int replicas, int jobs,
 }
 
 TEST(StormScenario, ElasticRunShrinksAndRegrows) {
-  scenario::ScenarioSpec spec = scenario::storm_scenario();
+  scenario::ScenarioSpec spec = scenario::checked_in_scenario("storm");
   spec.max_steps = 120000;
   spec.checkpoint_interval_steps = 4000;
   spec.horizon_hours = 6.0;

@@ -239,7 +239,7 @@ TEST(AdaptiveCheckpointController, ClampsPlansToTheFloor) {
 // ---------------------------------------------------------------------------
 
 TEST(SupervisedRun, DetectsAbruptKillsWithBoundedLatency) {
-  scenario::ScenarioSpec spec = scenario::detection_scenario();
+  scenario::ScenarioSpec spec = scenario::checked_in_scenario("detection");
   scenario::SimHarness harness(spec);
   const scenario::ScenarioResult result = harness.run();
 
