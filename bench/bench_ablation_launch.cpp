@@ -50,7 +50,7 @@ int main() {
   bench::print_header("Ablation: launch planning",
                       "picking region + local hour to dodge revocations");
 
-  const cloud::RevocationModel model;
+  const cloud::RevocationModel& model = cloud::calibrated_revocation_model();
   double sampling_wall_seconds = 0.0;
 
   for (const auto& [gpu, duration] :

@@ -13,7 +13,7 @@ int main() {
   bench::print_header("Figure 9",
                       "revocations by local hour of day, per GPU type");
 
-  const cloud::RevocationModel model;
+  const cloud::RevocationModel& model = cloud::calibrated_revocation_model();
   util::Rng rng(9);
 
   for (cloud::GpuType gpu : cloud::kAllGpuTypes) {

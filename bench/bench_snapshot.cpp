@@ -1,17 +1,19 @@
-// bench_snapshot: versioned performance snapshots with a regression gate.
-//
-// Two modes:
+// bench_snapshot: the in-repo performance regression gate, and the only
+// in-repo timer (perfbench/run.py is the end-to-end campaign benchmark).
 //
 //   bench_snapshot --kind micro --out BENCH_micro.json                # refresh
 //   bench_snapshot --check BENCH_micro.json --check BENCH_speed.json  # CI gate
 //
-// Write mode runs one suite (micro = substrate microbenchmarks mirroring
-// bench_micro_sim / bench_micro_obs; speed = a shrunk single-threaded
-// scenario campaign) and serializes the best-of-N throughput numbers as
-// a small JSON document. Check mode re-runs the suite named inside each
-// snapshot file and fails (exit 1) when any metric regressed beyond the
-// tolerance band — improvements never fail. scripts/ci.sh --bench wires
-// this against the checked-in BENCH_*.json at the repo root.
+// Write mode runs one suite (micro = event queue, a training session with
+// telemetry off and on, ledger; speed = scenarios/bench_speed.scn replicas
+// and the checkpoint plane; fleet = a shrunk fleet sweep), each workload
+// on one thread, and serializes its best-of-N throughput numbers as a
+// small JSON document (to stdout without --out). Check mode re-runs the
+// suite named inside each snapshot file and fails (exit 1) when any
+// metric regressed beyond the tolerance band — improvements never fail.
+// scripts/ci.sh --bench runs check mode against the checked-in
+// BENCH_*.json at the repo root; ctest's smoke.bench_snapshot.* runs each
+// suite once and checks only its exit status.
 //
 // Snapshot schema (schema 1):
 //   {"kind":"micro","metrics":{"name":{"higher_is_better":true,
@@ -76,8 +78,8 @@ double best_seconds(Fn&& body) {
 
 // --- micro suite -----------------------------------------------------------
 
-/// Event-queue throughput: schedule + fire kEvents timer events
-/// (bench_micro_sim's BM_SimulatorScheduleFire workload).
+/// Event-queue throughput: schedule + fire kEvents timer events spread
+/// over 97 distinct times.
 constexpr std::size_t kEvents = 100000;
 
 double run_sim_events() {
@@ -92,10 +94,10 @@ double run_sim_events() {
   return static_cast<double>(kEvents) / secs;
 }
 
-/// Cancellation-heavy variant (bench_micro_sim's BM_SimulatorChurn): half
-/// the events are cancelled and replaced before the run drains, so the
-/// number tracks slot release/re-lease and stale-entry skipping, not just
-/// schedule/fire throughput. Reported as events *fired* per second — the
+/// Cancellation-heavy variant: half the events are cancelled and
+/// replaced before the run drains, so the number tracks slot
+/// release/re-lease and stale-entry skipping, not just schedule/fire
+/// throughput. Reported as events *fired* per second — the
 /// cancel + replacement cost is folded into the rate.
 double run_sim_churn() {
   std::uint64_t sink = 0;
@@ -117,8 +119,8 @@ double run_sim_churn() {
   return static_cast<double>(kEvents) / secs;
 }
 
-/// One asynchronous training session to max_steps with `workers` workers;
-/// returns the best wall-clock seconds.
+/// Best wall-clock seconds of a 2000-step resnet-32 session on four K80
+/// workers, with the full obs bundle installed when `telemetry` is set.
 double session_seconds(bool telemetry) {
   const nn::CnnModel model = nn::resnet32();
   return best_seconds([&] {
@@ -208,27 +210,11 @@ double run_ckpt_restores() {
   return static_cast<double>(kCkptRestores) / secs;
 }
 
-/// A shrunk version of the speed scenario: one cell, 8 replicas of a
-/// 3-worker transient run with checkpoints, on one thread so the number
-/// is a per-core throughput.
-MetricMap run_speed() {
-  scenario::ScenarioSpec spec;
-  spec.name = "bench-speed";
-  spec.kind = scenario::HarnessKind::kRun;
-  spec.model = "resnet-32";
-  spec.max_steps = 500;
-  spec.checkpoint_interval_steps = 100;
-  spec.workers.push_back({3, cloud::GpuType::kK80,
-                          cloud::Region::kUsCentral1, true});
-  spec.faults = faults::FaultPlan::uniform(0.2);
-  spec.seed = 2020;
-
-  scenario::ScenarioSweep sweep;
-  sweep.name = spec.name;
-  sweep.base = spec;
-  sweep.replicas = 8;
-  sweep.seed = spec.seed;
-
+/// Best-of-kRepeats wall time of `sweep` on one thread, as
+/// replicas_per_sec and (from the summed "steps" aggregate) `steps_name`.
+MetricMap time_campaign(const scenario::ScenarioSweep& sweep,
+                        const std::string& steps_name,
+                        const scenario::ScenarioReplicaFn& replica = {}) {
   exp::RunOptions options;
   options.jobs = 1;
 
@@ -236,7 +222,7 @@ MetricMap run_speed() {
   std::size_t total_replicas = 0;
   const double secs = best_seconds([&] {
     const scenario::ScenarioCampaignResult result =
-        scenario::run_scenario_campaign(sweep, options);
+        scenario::run_scenario_campaign(sweep, options, replica);
     total_steps = 0;
     total_replicas = result.progress.replicas_done;
     for (const exp::CellAggregate& agg : result.aggregates) {
@@ -247,11 +233,20 @@ MetricMap run_speed() {
       }
     }
   });
+  return {{"replicas_per_sec", {static_cast<double>(total_replicas) / secs}},
+          {steps_name, {static_cast<double>(total_steps) / secs}}};
+}
 
-  MetricMap metrics;
-  metrics["replicas_per_sec"] = {static_cast<double>(total_replicas) / secs,
-                                 true};
-  metrics["steps_per_sec"] = {static_cast<double>(total_steps) / secs, true};
+/// A shrunk version of the speed scenario: one cell, 8 replicas of
+/// scenarios/bench_speed.scn (a 3-worker transient run with checkpoints),
+/// on one thread so the number is a per-core throughput.
+MetricMap run_speed() {
+  scenario::ScenarioSweep sweep;
+  sweep.base = scenario::checked_in_scenario("bench_speed");
+  sweep.name = sweep.base.name;
+  sweep.replicas = 8;
+  sweep.seed = sweep.base.seed;
+  MetricMap metrics = time_campaign(sweep, "steps_per_sec");
   metrics["ckpt_restore_per_sec"] = {run_ckpt_restores(), true};
   return metrics;
 }
@@ -276,32 +271,7 @@ MetricMap run_fleet() {
                 {"fleet.scheduler", {"round-robin", "cost-optimal"}}};
   sweep.replicas = 2;
   sweep.seed = 2020;
-
-  exp::RunOptions options;
-  options.jobs = 1;
-
-  long total_steps = 0;
-  std::size_t total_replicas = 0;
-  const double secs = best_seconds([&] {
-    const scenario::ScenarioCampaignResult result =
-        scenario::run_scenario_campaign(sweep, options, named.replica);
-    total_steps = 0;
-    total_replicas = result.progress.replicas_done;
-    for (const exp::CellAggregate& agg : result.aggregates) {
-      const auto it = agg.metrics.find("steps");
-      if (it != agg.metrics.end()) {
-        total_steps += static_cast<long>(it->second.running.mean() *
-                                         it->second.running.count());
-      }
-    }
-  });
-
-  MetricMap metrics;
-  metrics["replicas_per_sec"] = {static_cast<double>(total_replicas) / secs,
-                                 true};
-  metrics["tenant_steps_per_sec"] = {static_cast<double>(total_steps) / secs,
-                                     true};
-  return metrics;
+  return time_campaign(sweep, "tenant_steps_per_sec", named.replica);
 }
 
 // --- snapshot codec --------------------------------------------------------

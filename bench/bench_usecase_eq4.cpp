@@ -98,7 +98,8 @@ int main() {
       100.0 * std::abs(estimate.total_seconds - actual) / actual);
 
   // 3. Equation 5: expected revocations from empirical lifetime CDFs.
-  const cloud::RevocationModel revocation_model;
+  const cloud::RevocationModel& revocation_model =
+      cloud::calibrated_revocation_model();
   util::Rng life_rng(430);
   std::vector<double> lifetimes;
   for (int i = 0; i < 2000; ++i) {

@@ -16,6 +16,10 @@
 // trailing line), and re-running with `--resume` replays the journaled
 // replicas and executes only the rest — the final CSV is byte-identical
 // to an uninterrupted run at any --jobs.
+//
+// Exit status: 1 for a bad flag or campaign name, an exception, an
+// unwritable output, or a failed replica (after the table and CSV are
+// written); otherwise 0.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -166,5 +170,5 @@ int main(int argc, char** argv) {
     result.write_csv(out);
     std::printf("aggregates written to %s\n", csv_path.c_str());
   }
-  return 0;
+  return result.progress.replicas_failed > 0 ? 1 : 0;
 }

@@ -39,7 +39,8 @@ int main() {
       ckpt_rng);
 
   // Empirical lifetime CDF per GPU type in us-central1 (Figure 8 data).
-  const cloud::RevocationModel revocations;
+  const cloud::RevocationModel& revocations =
+      cloud::calibrated_revocation_model();
   util::Rng life_rng(54);
   const auto lifetime_cdf = [&](cloud::GpuType gpu) {
     std::vector<double> lifetimes;

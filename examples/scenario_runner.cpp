@@ -27,6 +27,11 @@
 //                   scenarios/*.scn file (compiled into the binary, so
 //                   this works from any directory) with a one-line
 //                   description
+//
+// Exit status: 1 for a bad flag, spec or path, an exception, an
+// unwritable output, or a campaign with a failed replica (after its table
+// and outputs are written); otherwise 0, also for a plain run whose
+// training did not finish (`finished` is a row of its table).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -302,7 +307,7 @@ int main(int argc, char** argv) {
                                         report, metrics_prefix);
       if (rc != 0) return rc;
     }
-    return 0;
+    return result.progress.replicas_failed > 0 ? 1 : 0;
   }
 
   std::optional<obs::ScopedTelemetry> telemetry;
@@ -320,7 +325,7 @@ int main(int argc, char** argv) {
                                         report, metrics_prefix);
       if (rc != 0) return rc;
     }
-    return result.finished ? 0 : 1;
+    return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

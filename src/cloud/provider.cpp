@@ -362,7 +362,7 @@ InstanceId CloudProvider::request_instance(const InstanceRequest& request,
       // represented by a nullopt sample. During an outage tail the
       // sampled age is compressed by the storm's hazard multiplier (the
       // draw itself is unchanged, so storm-free seeds are unperturbed).
-      auto age = revocation_model_.sample_revocation_age_seconds(
+      auto age = revocation_model_->sample_revocation_age_seconds(
           r.request.region, r.request.gpu, r.running_local_hour, rng_);
       if (const double mult =
               outage_hazard_multiplier(r.request.region, r.request.gpu);

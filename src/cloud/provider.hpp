@@ -227,7 +227,7 @@ class CloudProvider {
   double campaign_start_utc_hour() const { return campaign_start_utc_hour_; }
 
   const StartupModel& startup_model() const { return startup_model_; }
-  const RevocationModel& revocation_model() const { return revocation_model_; }
+  const RevocationModel& revocation_model() const { return *revocation_model_; }
   simcore::Simulator& simulator() { return *sim_; }
 
  private:
@@ -246,7 +246,7 @@ class CloudProvider {
   faults::FaultInjector* fault_injector_ = nullptr;
   double campaign_start_utc_hour_;
   StartupModel startup_model_;
-  RevocationModel revocation_model_;
+  const RevocationModel* revocation_model_ = &calibrated_revocation_model();
   std::vector<InstanceRecord> records_;
   std::vector<InstanceCallbacks> callbacks_;
   std::vector<simcore::EventHandle> pending_events_;

@@ -42,6 +42,11 @@ constexpr double kTod[3][24] = {
 
 const std::vector<RevocationTarget>& revocation_targets() { return kTargets; }
 
+const RevocationModel& calibrated_revocation_model() {
+  static const RevocationModel model;
+  return model;
+}
+
 bool gpu_offered_in_region(Region region, GpuType gpu) {
   for (const RevocationTarget& t : kTargets) {
     if (t.region == region && t.gpu == gpu) return true;

@@ -100,4 +100,9 @@ class RevocationModel {
   double lambda_max_[6][3];
 };
 
+/// The process-wide calibrated model, built on first use, so providers,
+/// catalog sweeps and benches calibrate once. Every method is const and
+/// samples from the caller's rng, so concurrent use is safe.
+const RevocationModel& calibrated_revocation_model();
+
 }  // namespace cmdare::cloud

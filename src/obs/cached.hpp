@@ -3,8 +3,8 @@
 // Registry and Tracer lookups are find-or-create by name: cheap, but not
 // free — per-event instrumentation (a training step, a PS update apply)
 // used to pay a key composition plus a map/track search on every probe,
-// which dominated the telemetry-enabled overhead measured by
-// bench_micro_obs. These helpers resolve the series/track once per
+// which dominated the telemetry-enabled overhead (bench_snapshot's
+// obs_overhead_pct). These helpers resolve the series/track once per
 // installed telemetry bundle and then serve a raw pointer (or track id)
 // until the thread's bundle changes.
 //

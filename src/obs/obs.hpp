@@ -3,9 +3,11 @@
 // Instrumented code throughout the repo (train, cloud, cmdare) asks for
 // the active Registry / Tracer through the inline accessors below and
 // does nothing when none is installed — the disabled path is a single
-// pointer load and branch, cheap enough to leave the probes in every hot
-// loop (bench_micro_obs measures this). Telemetry is off by default;
-// examples, benches, and tests opt in with ScopedTelemetry:
+// thread-local pointer load and branch, cheap enough to leave the probes
+// in every hot loop. bench_snapshot's session_steps_per_sec is timed on
+// that path, and its obs_overhead_pct prices the enabled one. Telemetry
+// is off by default; examples, benches, and tests opt in with
+// ScopedTelemetry:
 //
 //   obs::ScopedTelemetry telemetry;   // install for this scope
 //   ... run simulation ...

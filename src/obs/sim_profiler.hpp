@@ -5,10 +5,11 @@
 // to its scheduling tag ("worker.compute", "ps.apply", ... — nullptr tags
 // pool under "(untagged)"): event counts and host wall-clock time spent in
 // the callbacks, plus the peak queue depth the run reached. This answers
-// "where does engine time go" for bench_micro_obs without any per-module
-// instrumentation, and is the simulator-hot-spot view the metrics registry
-// cannot provide (the registry counts simulated quantities; this counts
-// host CPU).
+// "where does engine time go" (the observability demo and perfbench's
+// --trace 1 per-layer numbers, whose trace.overhead_pct prices the
+// profiler itself) without any per-module instrumentation, and is the
+// simulator-hot-spot view the metrics registry cannot provide (the
+// registry counts simulated quantities; this counts host CPU).
 #pragma once
 
 #include <cstdint>

@@ -10,14 +10,6 @@
 namespace cmdare::scenario {
 namespace {
 
-// Shared immutable hazard model: construction calibrates the base rates
-// numerically, so do it once; all sampling methods are const and take
-// the replica's private rng, making concurrent use safe.
-const cloud::RevocationModel& revocation_model() {
-  static const cloud::RevocationModel model;
-  return model;
-}
-
 /// Revocation samples each census replica draws.
 constexpr int kSamplesPerReplica = 50;
 
@@ -65,8 +57,9 @@ exp::ReplicaResult lifetime_replica(const ScenarioCell& cell, int /*replica*/,
   exp::ReplicaResult result;
   const WorkerGroup& pool = cell.spec.workers.at(0);
   if (!cloud::gpu_offered_in_region(pool.region, pool.gpu)) return result;
+  const cloud::RevocationModel& model = cloud::calibrated_revocation_model();
   for (int i = 0; i < kSamplesPerReplica; ++i) {
-    const auto age = revocation_model().sample_revocation_age_seconds(
+    const auto age = model.sample_revocation_age_seconds(
         pool.region, pool.gpu, cloud::kReferenceLaunchLocalHour, rng);
     const double hours =
         age.value_or(cloud::kMaxTransientLifetimeSeconds) / 3600.0;
@@ -85,9 +78,10 @@ exp::ReplicaResult launch_replica(const ScenarioCell& cell, int /*replica*/,
   const double hour =
       cloud::local_hour(pool.region, cell.spec.utc_start_hour, 0.0);
   const double job_seconds = cell.spec.horizon_hours * 3600.0;
+  const cloud::RevocationModel& model = cloud::calibrated_revocation_model();
   for (int i = 0; i < kSamplesPerReplica; ++i) {
-    const auto age = revocation_model().sample_revocation_age_seconds(
-        pool.region, pool.gpu, hour, rng);
+    const auto age =
+        model.sample_revocation_age_seconds(pool.region, pool.gpu, hour, rng);
     result.observe("revoked_in_job", age && *age <= job_seconds ? 1.0 : 0.0);
   }
   return result;

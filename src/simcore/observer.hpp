@@ -4,10 +4,10 @@
 // together with the callsite tag the scheduling code supplied (a static
 // string naming the kind of event: "worker.compute", "ps.apply", ...),
 // the queue depth at that moment, and the host wall-clock time spent in
-// the fired callback. This is how bench_micro_obs and the obs::SimProfiler
-// attribute engine time to subsystems without the engine knowing anything
-// about them. When no observer is registered the engine pays nothing
-// beyond one branch per event.
+// the fired callback. This is how obs::SimProfiler attributes engine time
+// to subsystems without the engine knowing anything about them. When no
+// observer is registered the engine pays nothing beyond one branch per
+// event.
 #pragma once
 
 #include <cstddef>

@@ -36,8 +36,8 @@
 // The engine is single-threaded by design: determinism and replayability
 // matter more for a measurement-reproduction study than parallel dispatch.
 // Throughput still matters — campaign sweeps run millions of events per
-// replica — which is what this design buys; see bench_micro_sim and
-// BENCH_micro.json for the numbers.
+// replica — which is what this design buys; see the sim_* metrics of
+// BENCH_micro.json (bench_snapshot --kind micro) for the numbers.
 #pragma once
 
 #include <cmath>

@@ -119,6 +119,20 @@ TEST(Provider, RejectsUnofferedTransientCombination) {
   EXPECT_NO_THROW(provider.request_instance(request));
 }
 
+// Providers share one calibration, and it equals the reference model's.
+TEST(CloudProvider, SharesTheCalibratedRevocationModel) {
+  simcore::Simulator sim;
+  const CloudProvider first(sim, util::Rng(1));
+  const CloudProvider second(sim, util::Rng(2));
+  EXPECT_EQ(&first.revocation_model(), &second.revocation_model());
+  EXPECT_EQ(&first.revocation_model(), &calibrated_revocation_model());
+  const RevocationModel fresh;
+  for (const RevocationTarget& t : revocation_targets()) {
+    EXPECT_EQ(first.revocation_model().base_rate_per_hour(t.region, t.gpu),
+              fresh.base_rate_per_hour(t.region, t.gpu));
+  }
+}
+
 TEST(Provider, CostAccruesOnlyWhileRunning) {
   simcore::Simulator sim;
   CloudProvider provider(sim, util::Rng(8));
