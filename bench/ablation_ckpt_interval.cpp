@@ -2,7 +2,7 @@
 //
 // Section IV shows checkpoint cost is ~linear in checkpoint count;
 // Section V-E shows the rollback work loss is bounded by the interval.
-// The planner balances the two. This bench sweeps the interval, prints
+// The planner balances the two. This experiment sweeps the interval, prints
 // the analytic expected-time curve, and validates the planner's choice
 // against full vanilla-TF simulations with periodic chief revocations.
 #include "bench_common.hpp"
@@ -43,7 +43,7 @@ double simulate_interval(long interval, double revoke_every_s,
     sim.schedule_after(revoke_every_s, churn);
   };
   sim.schedule_after(revoke_every_s, churn);
-  // Long intervals can livelock under churn (see bench_ablation_ftmode);
+  // Long intervals can livelock under churn (see ablation_ftmode.cpp);
   // bound the simulation and report the bound.
   sim.run_until(6.0 * 3600.0);
   return session.trace().try_time_of_step(40000).value_or(
@@ -52,10 +52,7 @@ double simulate_interval(long interval, double revoke_every_s,
 
 }  // namespace
 
-int main() {
-  bench::print_header("Ablation: checkpoint interval",
-                      "analytic plan vs simulation (vanilla TF, churny chief)");
-
+void bench::ablation_ckpt_interval() {
   // ResNet-15 on 2x K80: sp ~ 18.9 steps/s, T_c ~ 3.7 s; chief revoked
   // every ~8 minutes.
   core::CheckpointPlanParams params;
@@ -104,5 +101,4 @@ int main() {
       "short intervals pay checkpoint overhead, long intervals pay "
       "rollback recomputation; the planner's minimum sits where the two "
       "balance (Young-Daly-style trade-off on the paper's cost model).");
-  return 0;
 }

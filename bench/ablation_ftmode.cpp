@@ -68,11 +68,7 @@ Outcome run_mode(scenario::ScenarioSpec spec, train::FaultToleranceMode mode,
 
 }  // namespace
 
-int main() {
-  bench::print_header(
-      "Ablation: fault-tolerance mode",
-      "CM-DARE chief fail-over vs vanilla TensorFlow IP-reuse rollback");
-
+void bench::ablation_ftmode() {
   const scenario::ScenarioSpec base =
       scenario::checked_in_scenario("ftmode_churn");
   // The spec's horizon bounds each run; a livelocked arm stops there.
@@ -115,5 +111,4 @@ int main() {
       "a churn period produces, so the job never crosses the next "
       "checkpoint — exactly the failure mode transient-tensorflow exists "
       "to prevent.");
-  return 0;
 }

@@ -3,11 +3,11 @@
 // "Strategically launching transient clusters at different times of day
 // and different data center locations can help mitigate revocation
 // impacts." The planner ranks (region, local launch hour) pairs by the
-// hazard-model revocation probability for the job duration; this bench
+// hazard-model revocation probability for the job duration; this experiment
 // prints the ranking extremes and validates them by Monte-Carlo sampling
 // on the parallel campaign engine (one single-cell launch sweep per plan,
-// each replica an independent seeded batch — deterministic for any
-// CMDARE_JOBS value).
+// each replica an independent seeded batch — deterministic at any
+// thread count).
 #include "bench_common.hpp"
 
 #include "scenario/catalog.hpp"
@@ -16,11 +16,6 @@
 using namespace cmdare;
 
 namespace {
-
-int jobs_from_env() {
-  const char* env = std::getenv("CMDARE_JOBS");
-  return env == nullptr ? 0 : std::atoi(env);
-}
 
 double sampled_revocation_fraction(cloud::Region region, cloud::GpuType gpu,
                                    int hour, double duration_hours,
@@ -35,10 +30,8 @@ double sampled_revocation_fraction(cloud::Region region, cloud::GpuType gpu,
       (hour - cloud::region_info(region).utc_offset_hours + 24) % 24;
   sweep.base.horizon_hours = duration_hours;
 
-  exp::RunOptions options;
-  options.jobs = jobs_from_env();
   const scenario::ScenarioCampaignResult result =
-      scenario::run_scenario_campaign(sweep, options,
+      scenario::run_scenario_campaign(sweep, exp::RunOptions{},
                                       scenario::launch_replica);
   *wall_seconds += result.wall_seconds;
   return result.aggregates.front().metrics.at("revoked_in_job").running.mean();
@@ -46,10 +39,7 @@ double sampled_revocation_fraction(cloud::Region region, cloud::GpuType gpu,
 
 }  // namespace
 
-int main() {
-  bench::print_header("Ablation: launch planning",
-                      "picking region + local hour to dodge revocations");
-
+void bench::ablation_launch() {
   const cloud::RevocationModel& model = cloud::calibrated_revocation_model();
   double sampling_wall_seconds = 0.0;
 
@@ -90,13 +80,11 @@ int main() {
     table.render(std::cout);
   }
 
-  std::printf("\n(Monte-Carlo validation ran %.2f s of campaigns; set "
-              "CMDARE_JOBS to change thread count)\n",
+  std::printf("\n(Monte-Carlo validation ran %.2f s of campaigns)\n",
               sampling_wall_seconds);
   bench::print_note(
       "the spread between best and worst placements is large (e.g. K80: "
       "calm us-west1 overnight vs europe-west1 mornings); a planner that "
       "simply queries the hazard model recovers most of it. Probabilities "
       "are validated by direct sampling of the revocation process.");
-  return 0;
 }

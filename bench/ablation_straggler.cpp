@@ -10,10 +10,7 @@
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header("Ablation: straggler detection",
-                      "peer-based slow-worker detection accuracy");
-
+void bench::ablation_straggler() {
   constexpr int kTrials = 20;
   util::Table table({"degradation", "detection rate", "false positives",
                      "mean step (slow)", "peer median"});
@@ -69,5 +66,4 @@ int main() {
       "per-VM drift noise. Detection uses only same-GPU peer medians, so "
       "it keeps working when the parameter server is saturated (where the "
       "predicted-speed comparison of Section VI-B would misfire).");
-  return 0;
 }

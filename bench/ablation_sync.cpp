@@ -33,10 +33,7 @@ double sync_throughput(const nn::CnnModel& model, int k80, int p100,
 
 }  // namespace
 
-int main() {
-  bench::print_header("Ablation: async vs sync",
-                      "worker-batch throughput, 1 PS, ResNet-32");
-
+void bench::ablation_sync() {
   const nn::CnnModel model = nn::resnet32();
   util::Table table({"cluster (K80,P100,V100)", "async (batches/s)",
                      "sync (batches/s)", "async advantage"});
@@ -61,5 +58,4 @@ int main() {
       "clusters the modes are close; sync can even win when the async "
       "cluster is PS-bound (4x V100), because aggregating gradients sends "
       "one update per round instead of four.");
-  return 0;
 }

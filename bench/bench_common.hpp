@@ -1,10 +1,8 @@
-// Shared helpers for the table/figure reproduction harnesses.
+// The experiments `reproduce` runs, and the helpers more than one of
+// them uses.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 
@@ -17,67 +15,35 @@
 
 namespace cmdare::bench {
 
-inline void print_header(const std::string& id, const std::string& title) {
-  std::printf("\n============================================================\n");
-  std::printf("%s — %s\n", id.c_str(), title.c_str());
-  std::printf("============================================================\n");
-}
+// One function per experiment, each defined in bench/<name>.cpp. An
+// experiment prints its tables to stdout below the banner `reproduce`
+// prints for it, and draws every random number from its own seeded
+// streams, so it prints the same bytes alone or after the others.
+void table1();
+void fig2();
+void fig3();
+void table2();
+void table3();
+void fig4();
+void fig5();
+void table4();
+void fig6();
+void fig7();
+void table5();
+void fig8();
+void fig9();
+void fig10();
+void fig11();
+void fig12();
+void usecase_eq4();
+void ablation_ftmode();
+void ablation_ckpt_interval();
+void ablation_launch();
+void ablation_sync();
+void ablation_straggler();
 
 inline void print_note(const std::string& note) {
   std::printf("note: %s\n", note.c_str());
-}
-
-/// If the CMDARE_CSV_DIR environment variable is set, opens
-/// "$CMDARE_CSV_DIR/<name>.csv" and invokes `writer` on it (so raw series
-/// behind the printed tables can be re-plotted); otherwise does nothing.
-inline void maybe_write_csv(const std::string& name,
-                            const std::function<void(std::ostream&)>& writer) {
-  const char* dir = std::getenv("CMDARE_CSV_DIR");
-  if (dir == nullptr || *dir == '\0') return;
-  const std::string path = std::string(dir) + "/" + name + ".csv";
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  writer(out);
-  std::printf("(raw series written to %s)\n", path.c_str());
-}
-
-struct SingleWorkerResult {
-  double mean_speed = 0.0;            // steps/s, steps 100..N
-  double speed_sd = 0.0;              // sd of per-100-step speeds
-  double mean_step_seconds = 0.0;     // per-worker step time
-  double step_sd_seconds = 0.0;
-};
-
-/// Runs the paper's simplest cluster (1 GPU worker + 1 PS) for `steps`
-/// steps and reports speed statistics with the first 100 steps discarded.
-inline SingleWorkerResult run_single_worker(const nn::CnnModel& model,
-                                            cloud::GpuType gpu, long steps,
-                                            std::uint64_t seed) {
-  simcore::Simulator sim;
-  train::SessionConfig config;
-  config.max_steps = steps;
-  train::TrainingSession session(sim, model, config, util::Rng(seed));
-  train::WorkerSpec spec;
-  spec.gpu = gpu;
-  spec.label = model.name();
-  session.add_worker(spec);
-  sim.run();
-
-  SingleWorkerResult result;
-  result.mean_speed = session.trace().mean_speed(100, steps);
-  const auto window_speeds = session.trace().speed_per_window(100);
-  if (window_speeds.size() > 2) {
-    const std::vector<double> steady(window_speeds.begin() + 1,
-                                     window_speeds.end());
-    result.speed_sd = stats::stddev(steady);
-  }
-  const auto intervals = session.trace().worker_step_intervals(0, 100);
-  result.mean_step_seconds = stats::mean(intervals);
-  result.step_sd_seconds = stats::stddev(intervals);
-  return result;
 }
 
 /// Runs an (x, y, z) cluster and returns mean cluster speed after warmup.

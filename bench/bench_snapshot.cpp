@@ -20,9 +20,11 @@
 //    "value":1234.5}},"schema":1}
 //
 // The numbers are wall-clock throughputs, so the tolerance default is a
-// wide 0.6 (fail only when worse than the snapshot by >60%): the gate is
-// meant to catch order-of-magnitude regressions (an accidentally
-// quadratic queue, a ledger probe on the hot path), not 5% noise.
+// wide 0.6 (fail only when a metric is more than 1.6x slower than the
+// snapshot, rate or cost alike): the gate is meant to catch
+// order-of-magnitude regressions (an accidentally quadratic queue, a
+// ledger probe on the hot path), not 5% noise.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -387,17 +389,20 @@ int check_snapshot(const std::string& path, double tolerance) {
       continue;
     }
     const Metric& now = it->second;
-    // Relative change in the "worse" direction; the denominator floor
-    // keeps near-zero baselines (e.g. obs_overhead_pct of 0) from
-    // turning noise into an infinite ratio.
+    // Slowdown factor minus one, so a rate and its reciprocal cost drift
+    // alike: base / now - 1 for a rate, now / base - 1 for a cost. The
+    // cost's denominator floor keeps near-zero baselines (e.g.
+    // obs_overhead_pct of 0) from turning noise into an infinite ratio;
+    // a rate that fell to zero or below has regressed.
     const double base = baseline.value;
-    const double denom = std::abs(base) > 1.0 ? std::abs(base) : 1.0;
-    const double drift = baseline.higher_is_better
-                             ? (base - now.value) / denom
-                             : (now.value - base) / denom;
+    const double drift =
+        baseline.higher_is_better
+            ? (now.value > 0.0 ? base / now.value - 1.0 : HUGE_VAL)
+            : (now.value - base) / std::max(std::abs(base), 1.0);
     const bool regressed = drift > tolerance;
-    std::printf("  %-24s base %14.3f  now %14.3f  %s\n", name.c_str(), base,
-                now.value, regressed ? "REGRESSED" : "ok");
+    std::printf("  %-24s base %14.3f  now %14.3f  drift %+8.1f%%  %s\n",
+                name.c_str(), base, now.value, 100.0 * drift,
+                regressed ? "REGRESSED" : "ok");
     if (regressed) ++regressions;
   }
   return regressions;

@@ -5,7 +5,7 @@
 //
 // The model dimension is a generic scenario sweep (axis "model" over the
 // canonical zoo); each replica draws a batch of cold/warm samples from
-// its private stream, so the table is identical at any CMDARE_JOBS.
+// its private stream, so the table is identical at any thread count.
 #include "bench_common.hpp"
 
 #include "scenario/sweep.hpp"
@@ -13,19 +13,7 @@
 
 using namespace cmdare;
 
-namespace {
-
-int jobs_from_env() {
-  const char* env = std::getenv("CMDARE_JOBS");
-  return env == nullptr ? 0 : std::atoi(env);
-}
-
-}  // namespace
-
-int main() {
-  bench::print_header("Figure 10",
-                      "worker replacement overhead: cold vs warm start");
-
+void bench::fig10() {
   scenario::ScenarioSweep sweep;
   sweep.name = "fig10";
   sweep.base.kind = scenario::HarnessKind::kSession;
@@ -56,10 +44,8 @@ int main() {
         return result;
       };
 
-  exp::RunOptions options;
-  options.jobs = jobs_from_env();
   const scenario::ScenarioCampaignResult result =
-      scenario::run_scenario_campaign(sweep, options, replica);
+      scenario::run_scenario_campaign(sweep, exp::RunOptions{}, replica);
 
   util::Table table({"model", "cold start (s)", "warm start (s)",
                      "graph setup (s)", "paper (ResNet-15)"});
@@ -81,5 +67,4 @@ int main() {
       "cold starts cost ~60 s more than warm starts (VM environment setup "
       "+ dataset download); both grow with model size, dominated by the "
       "training-graph setup (Shake-Shake Big ~15 s above ResNet-15).");
-  return 0;
 }

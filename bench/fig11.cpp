@@ -47,11 +47,7 @@ double time_to_next_checkpoint(double replacement_delay, bool reuse_ip,
 
 }  // namespace
 
-int main() {
-  bench::print_header(
-      "Figure 11",
-      "recomputation overhead of reusing the revoked chief's IP address");
-
+void bench::fig11() {
   util::Table table({"replacement timing (s)", "old IP: to next ckpt (s)",
                      "new IP: to next ckpt (s)",
                      "recomputation overhead (s)"});
@@ -73,5 +69,4 @@ int main() {
       "interval — up to ~224 s at a 4K-step interval in the paper. "
       "CM-DARE avoids it entirely by reassigning checkpoint duty instead "
       "of binding it to the chief's IP.");
-  return 0;
 }

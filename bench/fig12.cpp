@@ -9,10 +9,7 @@
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header(
-      "Figure 12", "PS bottleneck: 1 vs 2 parameter servers (P100 workers)");
-
+void bench::fig12() {
   for (const char* name : {"resnet-15", "resnet-32"}) {
     const nn::CnnModel model = nn::model_by_name(name);
     std::printf("\n%s:\n", name);
@@ -60,5 +57,4 @@ int main() {
   std::printf(
       "  (mitigation: restarting with a second PS costs ~10 s, Section "
       "VI-B)\n");
-  return 0;
 }

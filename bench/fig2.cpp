@@ -3,14 +3,9 @@
 // coefficient of variation of at most ~0.02.
 #include "bench_common.hpp"
 
-#include "train/trace_io.hpp"
-
 using namespace cmdare;
 
-int main() {
-  bench::print_header("Figure 2",
-                      "training speed per 100-step window, K80 worker");
-
+void bench::fig2() {
   std::uint64_t seed = 2;
   for (const nn::CnnModel& model : nn::canonical_models()) {
     simcore::Simulator sim;
@@ -36,13 +31,9 @@ int main() {
     const std::vector<double> steady(speeds.begin() + 1, speeds.end());
     std::printf("\n  post-warmup CoV = %.4f (paper: <= 0.02)\n",
                 stats::coefficient_of_variation(steady));
-    bench::maybe_write_csv("fig2_" + model.name(), [&](std::ostream& out) {
-      train::write_speed_csv(session.trace(), out, 100);
-    });
   }
 
   bench::print_note(
       "speed dips in the first window (graph build / cache warmup) and is "
       "flat afterwards, enabling prediction from historical data.");
-  return 0;
 }

@@ -4,14 +4,10 @@
 #include "bench_common.hpp"
 
 #include "cmdare/measurement.hpp"
-#include "util/csv.hpp"
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header(
-      "Figure 3", "step time vs normalized computation / model complexity");
-
+void bench::fig3() {
   util::Rng rng(3);
   const auto measurements = core::measure_step_times(
       nn::all_models(), {cloud::GpuType::kK80, cloud::GpuType::kP100}, rng,
@@ -47,18 +43,6 @@ int main() {
     }
   }
   table.render(std::cout);
-  bench::maybe_write_csv("fig3_scatter", [&](std::ostream& out) {
-    util::CsvWriter writer(out);
-    writer.write_row({"model", "gpu", "cm_norm", "cnorm", "step_seconds"});
-    for (const auto& m : measurements) {
-      writer.write_row(
-          {m.model, cloud::gpu_name(m.gpu),
-           util::format_double((m.gflops - c_lo) / (c_hi - c_lo), 6),
-           util::format_double(
-               (m.computation_ratio() - r_lo) / (r_hi - r_lo), 6),
-           util::format_double(m.mean_step_seconds, 6)});
-    }
-  });
 
   std::printf("\nPearson correlation (step time vs feature):\n");
   std::printf("  K80 : C_m %.3f   C_norm %.3f\n",
@@ -80,5 +64,4 @@ int main() {
       "strong positive correlation in every panel; C_norm merges the two "
       "GPUs onto one line while C_m separates them, motivating per-GPU "
       "models (Table II).");
-  return 0;
 }

@@ -4,10 +4,7 @@
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header("Figure 4",
-                      "cluster speed (steps/s) vs #P100 workers, 1 PS");
-
+void bench::fig4() {
   util::Table table({"model", "n=1", "n=2", "n=3", "n=4", "n=5", "n=6",
                      "n=7", "n=8", "PS capacity"});
   std::uint64_t seed = 40;
@@ -31,5 +28,4 @@ int main() {
       "Shake-Shake Small plateau after ~4 workers, and Shake-Shake Big "
       "barely improves (its large parameter set saturates the PS almost "
       "immediately; the paper attributes its flatness to P100 capacity).");
-  return 0;
 }

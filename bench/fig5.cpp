@@ -7,9 +7,7 @@
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header("Figure 5", "checkpoint duration vs checkpoint size");
-
+void bench::fig5() {
   util::Rng rng(5);
   auto measurements =
       core::measure_checkpoint_times(nn::all_models(), rng, 5);
@@ -40,5 +38,4 @@ int main() {
       "duration grows with checkpoint size with low per-model variance; "
       "training and checkpointing are sequential, so the overhead adds "
       "directly to training time (Section IV-B).");
-  return 0;
 }

@@ -7,10 +7,7 @@
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header("Figure 6",
-                      "startup-time breakdown by GPU / region / tenancy");
-
+void bench::fig6() {
   util::Table table({"server", "provisioning (s)", "staging (s)",
                      "running (s)", "total (s)"});
 
@@ -64,5 +61,4 @@ int main() {
       "transient servers start in < 100 s; transient K80 is ~11 s slower "
       "than on-demand and transient P100 ~21 s slower (and ~8.7% slower "
       "than transient K80, mostly in the staging stage).");
-  return 0;
 }

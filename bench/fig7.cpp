@@ -7,10 +7,7 @@
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header(
-      "Figure 7", "startup time after a revocation: immediate vs delayed");
-
+void bench::fig7() {
   const cloud::StartupModel model;
   util::Table table(
       {"GPU", "immediate mean (s)", "immediate CoV", "delayed mean (s)",
@@ -47,5 +44,4 @@ int main() {
       "revocations barely shift the mean (within ~4 s) — immediate "
       "replacement requests are a valid strategy — but immediate requests "
       "are ~4x more variable (CoV ~12% vs ~3%), matching Section V-B.");
-  return 0;
 }

@@ -4,8 +4,7 @@
 // Runs on the parallel campaign engine (src/exp): the sampling work is
 // the catalog's "lifetime" sweep over the (region, GPU) pools, each
 // replica drawing an independent batch of lifetimes from its own seeded
-// stream, so the printed statistics are identical for any CMDARE_JOBS
-// value.
+// stream, so the printed statistics are identical at any thread count.
 #include "bench_common.hpp"
 
 #include "scenario/catalog.hpp"
@@ -14,25 +13,11 @@
 
 using namespace cmdare;
 
-namespace {
-
-int jobs_from_env() {
-  const char* env = std::getenv("CMDARE_JOBS");
-  return env == nullptr ? 0 : std::atoi(env);
-}
-
-}  // namespace
-
-int main() {
-  bench::print_header("Figure 8",
-                      "transient lifetime CDFs by region and GPU type");
-
+void bench::fig8() {
   scenario::ScenarioSweep sweep = scenario::sweep_by_name("lifetime").sweep;
   sweep.replicas = 60;                       // x 50 samples = 3000 per cell
-  exp::RunOptions options;
-  options.jobs = jobs_from_env();
   const scenario::ScenarioCampaignResult result =
-      scenario::run_scenario_campaign(sweep, options,
+      scenario::run_scenario_campaign(sweep, exp::RunOptions{},
                                       scenario::lifetime_replica);
 
   for (cloud::GpuType gpu : cloud::kAllGpuTypes) {
@@ -72,8 +57,7 @@ int main() {
   }
 
   std::printf(
-      "\n(campaign: %zu replicas over %zu cells in %.2f s on %d thread(s); "
-      "set CMDARE_JOBS to change)\n",
+      "\n(campaign: %zu replicas over %zu cells in %.2f s on %d thread(s))\n",
       result.progress.replicas_total, result.progress.cells_total,
       result.wall_seconds, result.jobs_used);
   bench::print_note(
@@ -81,5 +65,4 @@ int main() {
       "almost never do; powerful GPUs have shorter mean lifetimes (paper: "
       "K80 mean time to revocation 10.6-19.8 h, V100 us-central1 7.7 h). "
       "Up to ~48% of servers live to the 24 h cap.");
-  return 0;
 }

@@ -9,10 +9,7 @@
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header("Figure 9",
-                      "revocations by local hour of day, per GPU type");
-
+void bench::fig9() {
   const cloud::RevocationModel& model = cloud::calibrated_revocation_model();
   util::Rng rng(9);
 
@@ -40,5 +37,4 @@ int main() {
       "K80 revocations peak at 10 AM local (demand surge); V100 shows no "
       "revocations between 4 PM and 8 PM; each GPU type has its own "
       "pattern, suggesting time-of-day-aware launch strategies.");
-  return 0;
 }

@@ -5,10 +5,42 @@
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header("Table I",
-                      "training speed (steps/s), 1 GPU worker + 1 PS");
+namespace {
 
+struct SingleWorkerResult {
+  double mean_speed = 0.0;  // steps/s, steps 100..N
+  double speed_sd = 0.0;    // sd of per-100-step speeds
+};
+
+/// Runs the paper's simplest cluster (1 GPU worker + 1 PS) for `steps`
+/// steps and reports speed statistics with the first 100 steps discarded.
+SingleWorkerResult run_single_worker(const nn::CnnModel& model,
+                                     cloud::GpuType gpu, long steps,
+                                     std::uint64_t seed) {
+  simcore::Simulator sim;
+  train::SessionConfig config;
+  config.max_steps = steps;
+  train::TrainingSession session(sim, model, config, util::Rng(seed));
+  train::WorkerSpec spec;
+  spec.gpu = gpu;
+  spec.label = model.name();
+  session.add_worker(spec);
+  sim.run();
+
+  SingleWorkerResult result;
+  result.mean_speed = session.trace().mean_speed(100, steps);
+  const auto window_speeds = session.trace().speed_per_window(100);
+  if (window_speeds.size() > 2) {
+    const std::vector<double> steady(window_speeds.begin() + 1,
+                                     window_speeds.end());
+    result.speed_sd = stats::stddev(steady);
+  }
+  return result;
+}
+
+}  // namespace
+
+void bench::table1() {
   const struct {
     const char* name;
     double paper[3];  // K80, P100, V100 steps/s from the paper
@@ -33,7 +65,7 @@ int main() {
     std::vector<std::string> paper_row = row;
     for (const auto& model_ref : reference) {
       const nn::CnnModel model = nn::model_by_name(model_ref.name);
-      const auto result = bench::run_single_worker(
+      const auto result = run_single_worker(
           model, gpu, 4000, 1000 + static_cast<std::uint64_t>(gpu_index));
       row.push_back(
           util::format_mean_sd(result.mean_speed, result.speed_sd, 2));
@@ -53,5 +85,4 @@ int main() {
   bench::print_note(
       "faster GPUs train faster on every model; speed drops as model "
       "complexity grows (e.g. ResNet-32 ~2x slower than ResNet-15 on K80).");
-  return 0;
 }

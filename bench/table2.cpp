@@ -7,9 +7,7 @@
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header("Table II", "step-time prediction model comparison");
-
+void bench::table2() {
   util::Rng rng(42);
   const auto measurements = core::measure_step_times(
       nn::all_models(), {cloud::GpuType::kK80, cloud::GpuType::kP100}, rng,
@@ -50,5 +48,4 @@ int main() {
   bench::print_note(
       "GPU-specific models beat GPU-agnostic ones and the RBF-kernel SVR "
       "gives the best per-GPU fit (paper: K80 RBF test MAPE 9.02%).");
-  return 0;
 }

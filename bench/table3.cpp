@@ -31,10 +31,7 @@ Cell worker_step_ms(int k80, int p100, int v100, train::WorkerId report,
 
 }  // namespace
 
-int main() {
-  bench::print_header("Table III",
-                      "per-worker step time (ms), ResNet-32, 1 PS");
-
+void bench::table3() {
   util::Table table({"GPU", "(1,0,0)/(0,1,0)/(0,0,1)", "x2", "x4", "x8",
                      "hetero (2,1,1)", "paper baseline", "paper x8"});
 
@@ -76,5 +73,4 @@ int main() {
       "do not slow existing workers. P100/V100 baselines anchor to Table I "
       "(the paper's Tables I and III disagree for those entries; see "
       "EXPERIMENTS.md).");
-  return 0;
 }

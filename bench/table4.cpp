@@ -10,9 +10,7 @@
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header("Table IV", "checkpoint-time prediction models");
-
+void bench::table4() {
   util::Rng rng(44);
   const auto measurements =
       core::measure_checkpoint_times(nn::all_models(), rng, 5);
@@ -57,5 +55,4 @@ int main() {
       "the RBF SVR fits best, but all four models are usable; simpler "
       "models retrain faster, which matters when monitoring a live cluster "
       "(Section IV-C).");
-  return 0;
 }

@@ -11,10 +11,7 @@
 
 using namespace cmdare;
 
-int main() {
-  bench::print_header("Use case (Sec. VI-A)",
-                      "heterogeneous training speed + Eq. 4/5 time");
-
+void bench::usecase_eq4() {
   // Offline phase: measure and train the per-GPU predictors.
   util::Rng measure_rng(400);
   const auto step_measurements = core::measure_step_times(
@@ -119,5 +116,4 @@ int main() {
       with_revocations.expected_revocations,
       util::format_duration(with_revocations.revocation_seconds).c_str(),
       util::format_duration(with_revocations.total_seconds).c_str());
-  return 0;
 }

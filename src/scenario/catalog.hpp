@@ -18,8 +18,8 @@
 // result_replica() metric list over ScenarioResult rows; lifetime and
 // launch sample the hazard model and speed reads the session trace, so
 // those three keep the replica functions below. The `cmdare_campaign`
-// CLI example runs catalog entries by name; bench_fig8 and
-// bench_ablation_launch build their statistics on the same replicas
+// CLI example runs catalog entries by name; reproduce's fig8 and
+// ablation_launch experiments build their statistics on these replicas
 // through the parallel engine.
 #pragma once
 

@@ -11,7 +11,7 @@
 //   update once; the next step begins after the update is applied.
 //
 // Step time = max_i(compute_i) + PS service, so stragglers and slow GPUs
-// gate the whole cluster. bench_ablation_sync quantifies the difference
+// gate the whole cluster. `reproduce ablation_sync` quantifies the gap
 // against TrainingSession on homogeneous and heterogeneous clusters.
 //
 // Throughput accounting: one synchronous global step consumes one batch

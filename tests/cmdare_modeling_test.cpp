@@ -60,7 +60,7 @@ TEST_F(ModelingTest, GpuSpecificModelsBeatGpuAgnostic) {
 }
 
 TEST_F(ModelingTest, RbfSvrIsBestPerGpuFamily) {
-  // Canonical experiment seed (the same protocol bench_table2 prints).
+  // Canonical experiment seed (the same protocol `reproduce table2` prints).
   // With only 20 models, fine-grained model ordering is sensitive to the
   // random split; the cross-seed robustness test below covers variation.
   util::Rng rng(1);
@@ -82,7 +82,7 @@ TEST_F(ModelingTest, GpuSpecificMapeBelowPaperBallpark) {
   // Paper: K80 RBF-SVR test MAPE 9.02% (the paper quotes MAPE for the
   // K80 RBF model and the P100 polynomial model only). MAPE on P100 is
   // dominated by the very fast models (tens of ms), so it gets more
-  // headroom. Canonical experiment seed, as in bench_table2.
+  // headroom. Canonical experiment seed, as in `reproduce table2`.
   util::Rng rng(1);
   const auto evals = evaluate_step_time_models(*step_measurements_, rng);
   for (const auto& e : evals) {

@@ -73,6 +73,14 @@ TEST(Trace, WorkerIntervalsDiscardWarmup) {
   EXPECT_THROW(trace.worker_step_intervals(1, 0), std::out_of_range);
 }
 
+TEST(Trace, WorkerStepTimesAccessorValidates) {
+  TrainingTrace trace;
+  for (int i = 1; i <= 5; ++i) trace.record_worker_step(0, i);
+  EXPECT_EQ(trace.worker_step_times(0).size(), trace.worker_step_count(0));
+  EXPECT_DOUBLE_EQ(trace.worker_step_times(0).back(), 5.0);
+  EXPECT_THROW(trace.worker_step_times(9), std::out_of_range);
+}
+
 TEST(Trace, EventsAndCheckpointsAccumulate) {
   TrainingTrace trace;
   trace.record_event(
