@@ -80,8 +80,10 @@ void bench::ablation_launch() {
     table.render(std::cout);
   }
 
-  std::printf("\n(Monte-Carlo validation ran %.2f s of campaigns)\n",
-              sampling_wall_seconds);
+  // Wall time depends on the host, so it goes to stderr: stdout is a
+  // function of the seeds alone.
+  std::fprintf(stderr, "(Monte-Carlo validation ran %.2f s of campaigns)\n",
+               sampling_wall_seconds);
   bench::print_note(
       "the spread between best and worst placements is large (e.g. K80: "
       "calm us-west1 overnight vs europe-west1 mornings); a planner that "

@@ -56,10 +56,13 @@ void bench::fig8() {
     }
   }
 
-  std::printf(
-      "\n(campaign: %zu replicas over %zu cells in %.2f s on %d thread(s))\n",
-      result.progress.replicas_total, result.progress.cells_total,
-      result.wall_seconds, result.jobs_used);
+  // Wall time depends on the host, so it goes to stderr: stdout is a
+  // function of the seeds alone.
+  std::fprintf(stderr,
+               "(campaign: %zu replicas over %zu cells in %.2f s on %d "
+               "thread(s))\n",
+               result.progress.replicas_total, result.progress.cells_total,
+               result.wall_seconds, result.jobs_used);
   bench::print_note(
       "europe-west1 K80s mostly die within two hours while us-west1 K80s "
       "almost never do; powerful GPUs have shorter mean lifetimes (paper: "

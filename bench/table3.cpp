@@ -66,11 +66,15 @@ void bench::table3() {
   }
   table.render(std::cout);
 
+  // The PS figures come from the service time fig4's capacity column
+  // reads, so the note states what the simulator charges.
+  const double service = cloud::ps_update_service_seconds(nn::resnet32(), 1);
   bench::print_note(
       "K80 workers stay flat through 8 workers; P100/V100 hit the single-PS "
-      "bottleneck (~42 updates/s for ResNet-32) and inflate toward "
-      "n_workers * PS service time (~188 ms at 8). Heterogeneous clusters "
-      "do not slow existing workers. P100/V100 baselines anchor to Table I "
-      "(the paper's Tables I and III disagree for those entries; see "
-      "EXPERIMENTS.md).");
+      "bottleneck (" + util::format_double(1.0 / service, 1) +
+      " updates/s for ResNet-32) and inflate toward n_workers * PS service "
+      "time (" + util::format_double(8.0 * service * 1000.0, 2) +
+      " ms at 8). Heterogeneous clusters do not slow existing workers. "
+      "P100/V100 baselines anchor to Table I (the paper's Tables I and III "
+      "disagree for those entries; see EXPERIMENTS.md).");
 }

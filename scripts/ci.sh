@@ -9,14 +9,15 @@
 # handles — lifetime bugs there are exactly what the sanitizers exist to
 # catch. The codec label (the spec parser plus the random-bytes
 # SpecParseFuzz and LedgerFuzz) rides along too: parsers fed arbitrary
-# bytes are where out-of-bounds reads hide. The smoke label (the three
+# bytes are where out-of-bounds reads hide. The smoke label (the two
 # demos that read compiled-in scenario files, every experiment of the
-# reproduce program, a scenario_runner run of every scenarios/*.scn, and
-# one run of each bench_snapshot suite, each of which must exit 0) rides
-# along so their whole runs are checked for memory errors as well. The
-# perf-snapshot gate (--bench) is explicit only: it re-runs
-# bench_snapshot against the checked-in BENCH_*.json and fails on a
-# regression beyond the tolerance band; the smoke runs check no timing.
+# reproduce program, every catalog campaign run by name through
+# scenario_runner at one replica per cell, a scenario_runner run of every
+# scenarios/*.scn, and one run of each bench_snapshot suite, each of which
+# must exit 0) rides along so their whole runs are checked for memory
+# errors as well. The perf-snapshot gate (--bench) is explicit only: it
+# re-runs bench_snapshot against the checked-in BENCH_*.json and fails on
+# a regression beyond the tolerance band; the smoke runs check no timing.
 #
 #   scripts/ci.sh            # tier-1 + asan + tsan + ubsan
 #   scripts/ci.sh --tier1    # tier-1 only

@@ -54,36 +54,4 @@ Dataset MinMaxScaler::transform(const Dataset& data) const {
   return out;
 }
 
-void ZScoreScaler::fit(const Dataset& data) {
-  if (data.empty()) throw std::invalid_argument("ZScoreScaler: empty data");
-  const std::size_t f = data.feature_count();
-  means_.assign(f, 0.0);
-  sds_.assign(f, 0.0);
-  for (std::size_t j = 0; j < f; ++j) {
-    const auto col = data.feature_column(j);
-    means_[j] = stats::mean(col);
-    sds_[j] = col.size() >= 2 ? stats::stddev(col) : 0.0;
-  }
-}
-
-std::vector<double> ZScoreScaler::transform(std::span<const double> x) const {
-  if (!fitted()) throw std::logic_error("ZScoreScaler: not fitted");
-  if (x.size() != feature_count()) {
-    throw std::invalid_argument("ZScoreScaler: feature count mismatch");
-  }
-  std::vector<double> out(x.size());
-  for (std::size_t j = 0; j < x.size(); ++j) {
-    out[j] = sds_[j] == 0.0 ? 0.0 : (x[j] - means_[j]) / sds_[j];
-  }
-  return out;
-}
-
-Dataset ZScoreScaler::transform(const Dataset& data) const {
-  Dataset out(data.feature_names());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    out.add(transform(data.x(i)), data.y(i));
-  }
-  return out;
-}
-
 }  // namespace cmdare::ml

@@ -2,7 +2,7 @@
 //
 // Section III-B normalizes computation ratio and model complexity with
 // min-max normalization (the paper notes z-score was considered and
-// rejected because the data is not Gaussian); both are provided.
+// rejected because the data is not Gaussian), so only min-max is provided.
 #pragma once
 
 #include <span>
@@ -36,26 +36,6 @@ class MinMaxScaler {
  private:
   std::vector<double> mins_;
   std::vector<double> maxs_;
-};
-
-/// Standardizes each feature to zero mean / unit variance. A constant
-/// feature maps to 0.
-class ZScoreScaler {
- public:
-  void fit(const Dataset& data);
-
-  bool fitted() const { return !means_.empty(); }
-  std::size_t feature_count() const { return means_.size(); }
-
-  std::vector<double> transform(std::span<const double> x) const;
-  Dataset transform(const Dataset& data) const;
-
-  double feature_mean(std::size_t f) const { return means_.at(f); }
-  double feature_sd(std::size_t f) const { return sds_.at(f); }
-
- private:
-  std::vector<double> means_;
-  std::vector<double> sds_;
 };
 
 }  // namespace cmdare::ml

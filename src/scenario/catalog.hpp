@@ -3,8 +3,8 @@
 //
 // The checked-in scenarios/*.scn are compiled into this library
 // (scenario_files()). The six harness sweeps below take their base spec
-// from one through checked_in_scenario(), as do three demos and three
-// benches.
+// from one through checked_in_scenario(), as do two demos, three
+// reproduce experiments and bench_snapshot.
 //
 // Each entry pairs a base ScenarioSpec and its sweep axes with the
 // replica that realizes one independent sample of the study — the
@@ -17,7 +17,7 @@
 // detection, fleet, storm, ckpt) state their observations as a
 // result_replica() metric list over ScenarioResult rows; lifetime and
 // launch sample the hazard model and speed reads the session trace, so
-// those three keep the replica functions below. The `cmdare_campaign`
+// those three keep the replica functions below. The `scenario_runner`
 // CLI example runs catalog entries by name; reproduce's fig8 and
 // ablation_launch experiments build their statistics on these replicas
 // through the parallel engine.

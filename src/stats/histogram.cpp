@@ -31,10 +31,6 @@ void Histogram::add(double value) {
   ++total_;
 }
 
-void Histogram::add_all(std::span<const double> values) {
-  for (double v : values) add(v);
-}
-
 std::size_t Histogram::count(std::size_t bin) const {
   if (bin >= counts_.size()) {
     throw std::out_of_range("Histogram::count: bin out of range");

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -19,7 +18,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double value);
-  void add_all(std::span<const double> values);
 
   std::size_t bin_count() const { return counts_.size(); }
   std::size_t count(std::size_t bin) const;

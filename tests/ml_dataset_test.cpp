@@ -167,20 +167,6 @@ TEST(MinMaxScaler, Validates) {
                std::invalid_argument);
 }
 
-TEST(ZScoreScaler, StandardizesColumns) {
-  Dataset d({"x"});
-  d.add({2.0}, 0.0);
-  d.add({4.0}, 0.0);
-  d.add({6.0}, 0.0);
-  ZScoreScaler scaler;
-  scaler.fit(d);
-  EXPECT_DOUBLE_EQ(scaler.feature_mean(0), 4.0);
-  const Dataset t = scaler.transform(d);
-  EXPECT_NEAR(t.x(0)[0], -1.0, 1e-12);
-  EXPECT_NEAR(t.x(1)[0], 0.0, 1e-12);
-  EXPECT_NEAR(t.x(2)[0], 1.0, 1e-12);
-}
-
 TEST(Metrics, KnownValues) {
   const std::vector<double> truth = {1.0, 2.0, 4.0};
   const std::vector<double> pred = {1.5, 1.5, 5.0};
